@@ -31,7 +31,6 @@ _EXPORTS = {
     "TransferMatrix": ".solver",
     "transfer_matrix": ".solver",
     "node_thetas": ".solver",
-    "propagator": ".solver",
     "j_energy_residual": ".solver",
     # Weyl theory and boundary values
     "weyl_sweep": ".weyl",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedFeatureError, ValidationError
-from .hamiltonian import Grid
+from .hamiltonian import Grid, _read_rows
 
 
 class HalfLineFunction:
@@ -346,15 +346,8 @@ def read_halfline(path, tail=None):
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or raw[0] != _HALFLINE_HEADER:
         raise ValidationError(f"{path}: missing '{_HALFLINE_HEADER}' header")
-    starts, ends, vals = [], [], []
-    for ln in raw[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValidationError(f"{path}: expected 3 columns, got {ln!r}")
-        starts.append(float(parts[0]))
-        ends.append(float(parts[1]))
-        vals.append(float(parts[2]))
-    nodes = np.array(starts + [ends[-1]])
-    if not np.allclose(nodes[1:-1], ends[:-1], rtol=0, atol=0):
+    rows = _read_rows(path, raw[1:], 3)
+    if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
         raise ValidationError(f"{path}: rows do not tile the half line")
-    return HalfLineFunction(Grid(nodes), vals, tail=tail)
+    nodes = np.append(rows[:, 0], rows[-1, 1])
+    return HalfLineFunction(Grid(nodes), rows[:, 2], tail=tail)

@@ -162,10 +162,16 @@ class Hamiltonian:
     def sqrt_cells(self):
         """Per-cell symmetric PSD square roots, shape (K, 2, 2).
 
-        Closed form: sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)).
+        Closed form: sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A));
+        zero cells give zero.
         """
-        from .transform import sqrt_psd_2x2
-        return np.stack([sqrt_psd_2x2(c) for c in self.cells])
+        c = self.cells
+        s = np.sqrt(np.maximum(self.dets, 0.0))
+        denom = c[:, 0, 0] + c[:, 1, 1] + 2.0 * s
+        root = np.sqrt(np.where(denom > 0, denom, 1.0))
+        out = (c + s[:, None, None] * np.eye(2)) / root[:, None, None]
+        out[denom <= 0] = 0.0
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, Hamiltonian)
@@ -210,6 +216,8 @@ def validate(ham):
     """
     issues = []
     c = ham.cells
+    if not np.all(np.isfinite(c)):
+        issues.append("cells must be finite")
     if not np.allclose(c[:, 0, 1], c[:, 1, 0], rtol=0, atol=0):
         issues.append("cells must be exactly symmetric")
     if np.any(c[:, 0, 0] < -PSD_TOL) or np.any(c[:, 1, 1] < -PSD_TOL):
@@ -239,6 +247,21 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _read_rows(path, lines, ncols):
+    """Data lines of a table file as a finite float array (rows, ncols)."""
+    for ln in lines:
+        if len(ln.split()) != ncols:
+            raise ValidationError(
+                f"{path}: expected {ncols} columns, got {ln!r}")
+    try:
+        rows = np.array([ln.split() for ln in lines], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}")
+    if not lines or not np.all(np.isfinite(rows)):
+        raise ValidationError(f"{path}: no data rows or a non-finite field")
+    return rows
+
+
 def write_hamiltonian(ham, path):
     lines = [_HAM_HEADER]
     n = ham.grid.nodes
@@ -255,19 +278,11 @@ def read_hamiltonian(path, unimodular=None):
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or raw[0] != _HAM_HEADER:
         raise ValidationError(f"{path}: missing '{_HAM_HEADER}' header")
-    starts, ends, cells = [], [], []
-    for ln in raw[1:]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise ValidationError(f"{path}: expected 5 columns, got {ln!r}")
-        t0, t1, h1, h, h2 = (float(p) for p in parts)
-        starts.append(t0); ends.append(t1)
-        cells.append([[h1, h], [h, h2]])
-    nodes = np.array(starts + [ends[-1]])
-    if not np.array_equal(nodes[1:-1], np.array(ends[:-1])):
+    rows = _read_rows(path, raw[1:], 5)
+    if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
         raise ValidationError(f"{path}: cell intervals do not tile the grid")
-    cells = np.array(cells)
+    nodes = np.append(rows[:, 0], rows[-1, 1])
+    h1, h, h2 = rows[:, 2:].T
     if unimodular is None:
-        dets = cells[:, 0, 0] * cells[:, 1, 1] - cells[:, 0, 1] ** 2
-        unimodular = bool(np.all(np.abs(dets - 1.0) <= DET_TOL))
-    return Hamiltonian(Grid(nodes), cells, unimodular=unimodular)
+        unimodular = bool(np.all(np.abs(h1 * h2 - h * h - 1.0) <= DET_TOL))
+    return Hamiltonian.from_entries(nodes, h1, h, h2, unimodular=unimodular)

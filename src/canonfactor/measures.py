@@ -18,6 +18,7 @@ exactly when w - 1 is integrable.
 import numpy as np
 
 from .errors import DomainError, UnsupportedFeatureError, ValidationError
+from .hamiltonian import _read_rows
 
 
 def _sinc(u):
@@ -253,10 +254,5 @@ def read_weight(path, tail=1.0):
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or raw[0] != _WEIGHT_HEADER:
         raise ValidationError(f"{path}: missing '{_WEIGHT_HEADER}' header")
-    xs, ws = [], []
-    for ln in raw[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValidationError(f"{path}: expected 2 columns, got {ln!r}")
-        xs.append(float(parts[0])); ws.append(float(parts[1]))
+    xs, ws = _read_rows(path, raw[1:], 2).T
     return sampled_weight(xs, ws, tail=tail)

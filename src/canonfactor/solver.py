@@ -10,6 +10,16 @@ form
 valid for every complex z including the degenerate cells det C = 0.  All
 entries of M(t, z) are entire functions of z, and det M(t, z) = 1 because
 tr G = 0.
+
+Everything built from M (transfer matrices, Theta at the nodes, Weyl
+disks, wave amplitudes, the energy identity) comes from one sweep,
+``_sweep``, which multiplies the propagators of ``_propagators``, built a
+block of cells at a time, left to right.  A cell whose growth
+|Im z| * width * d exceeds ``_MAX_GROWTH`` is cut into equal substeps.
+After every step the state of each z is divided by a power of two
+(frexp/ldexp), which is exact: wherever the unscaled product is finite
+and normal, the rescaled one with its scale put back equals it bit for
+bit, and past double range the scale-free ratios stay available.
 """
 
 import numpy as np
@@ -17,15 +27,23 @@ import numpy as np
 from .errors import DomainError
 from .hamiltonian import J
 
+_BLOCK = 1 << 18        # cells x z per block of propagators
+_MAX_GROWTH = 200.0     # largest |Im z| * step * d of one substep
+
 _GL_CACHE = {}
 
 
 def gauss_legendre(order, a, b):
-    """Nodes and weights on [a, b], cached per order."""
+    """Nodes and weights on [a, b], cached per order.
+
+    a and b may be arrays of intervals; the nodes then run along a new
+    trailing axis.
+    """
     if order not in _GL_CACHE:
         _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
     x, w = _GL_CACHE[order]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = 0.5 * (a + b)[..., None], 0.5 * (b - a)[..., None]
     return mid + half * x, half * w
 
 
@@ -33,34 +51,77 @@ def sinch(x):
     """sin(x)/x, series below |x| = 1e-4 to avoid cancellation at 0."""
     x = np.asarray(x, dtype=complex)
     small = np.abs(x) < 1e-4
-    out = np.empty_like(x)
+    out = np.sin(x) / np.where(small, 1.0, x)
     xs = x[small]
     out[small] = 1.0 - xs * xs / 6.0 + xs ** 4 / 120.0
-    xb = x[~small]
-    out[~small] = np.sin(xb) / xb
     return out
 
 
-def propagator(cell, width, z):
-    """exp(-z * width * J * cell) for one constant cell.
+def _propagators(cells, widths, z):
+    """exp(-z * width * J * cell) for B cells and nz values of z.
 
-    Parameters
-    ----------
-    cell : (2, 2) symmetric PSD matrix
-    width : positive step
-    z : complex scalar or array
-
-    Returns
-    -------
-    ndarray, shape z.shape + (2, 2)
+    cells : (B, 2, 2), widths : (B,), z : (nz,) complex.
+    Returns P with P[i, j] of shape (B, nz).
     """
-    z = np.asarray(z, dtype=complex)
-    d = np.sqrt(max(cell[0, 0] * cell[1, 1] - cell[0, 1] * cell[1, 0], 0.0))
-    G = J @ cell
-    theta = z * width * d
+    d = np.sqrt(np.maximum(
+        cells[:, 0, 0] * cells[:, 1, 1] - cells[:, 0, 1] * cells[:, 1, 0], 0.0))
+    zw = widths[:, None] * z
+    theta = zw * d[:, None]
+    s = zw * sinch(theta)
+    G = np.moveaxis(J @ cells, 0, -1)[..., None]          # (2, 2, B, 1)
+    P = s * -G
     c = np.cos(theta)
-    s = z * width * sinch(theta)
-    out = np.multiply.outer(c, np.eye(2)) - np.multiply.outer(s, G)
+    P[0, 0] += c
+    P[1, 1] += c
+    return P
+
+
+def _sweep(ham, z, m, t=None):
+    """March the first m columns of M(., z) across the grid.
+
+    z is a finite 1-D complex array.  Yields (k, state, scale) at t_0 = 0
+    and after each cell k = 1, 2, ...: M(t_k, z)[:, :m] equals
+    state * 2**scale, with state of shape (2, m, nz) and the integer
+    exponents scale of shape (nz,).  With t the grid is cut at t, so the
+    last node yielded is t itself.  Yielded arrays are never modified.
+    """
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z must be finite")
+    nodes = ham.grid.nodes
+    if t is None:
+        t = nodes[-1]
+    n = min(int(np.searchsorted(nodes, t, side="left")), ham.grid.n_cells)
+    widths = np.minimum(nodes[1:n + 1], t) - nodes[:n]
+    d = np.sqrt(np.maximum(ham.dets[:n], 0.0))
+    im_max = np.max(np.abs(z.imag), initial=0.0)
+    nsub = np.maximum(1, np.ceil(im_max * widths * d / _MAX_GROWTH)).astype(int)
+
+    state = np.eye(2, m, dtype=complex)[..., None].repeat(z.size, axis=-1)
+    scale = np.zeros(z.size, dtype=np.int64)
+    yield 0, state, scale
+    per_block = max(1, _BLOCK // max(z.size, 1))
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        P = _propagators(ham.cells[lo:hi], widths[lo:hi] / nsub[lo:hi], z)
+        for k in range(lo, hi):
+            Pk = P[:, :, k - lo, None, :]                 # (2, 2, 1, nz)
+            for _ in range(nsub[k]):
+                state = Pk[:, 0] * state[0] + Pk[:, 1] * state[1]
+                e = np.frexp(np.abs(state).max(axis=(0, 1)))[1]
+                state *= np.ldexp(1.0, -e)
+                scale = scale + e
+            yield k + 1, state, scale
+
+
+def _restore(state, scale, t, z):
+    """state * 2**scale along the last axis; DomainError on overflow."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(state.view(float), np.repeat(scale, 2)).view(complex)
+    if not np.all(np.isfinite(out)):
+        growth = np.max(np.abs(np.imag(z)), initial=0.0) * t
+        raise DomainError(
+            f"M(t, z) overflows double precision at |Im z| * t = "
+            f"{growth:.4g}; reduce Im z or t")
     return out
 
 
@@ -91,57 +152,38 @@ class TransferMatrix:
 
 
 def transfer_matrix(ham, t, z):
-    """M(t, z) by multiplying exact cell propagators left to right.
+    """M(t, z): the sweep cut at t, with its scale put back.
 
-    t must lie inside the grid; the final partial cell is handled with the
-    same closed form.  z may be a scalar or an array.
+    t must lie inside the grid.  z may be a scalar or an array.  Raises
+    DomainError where an entry of M(t, z) is beyond double range.
     """
     if t < 0 or t > ham.grid.span + 1e-12 * max(1.0, ham.grid.span):
         raise DomainError(f"t = {t} outside grid span [0, {ham.grid.span}]")
     t = min(t, ham.grid.span)
     z = np.asarray(z, dtype=complex)
-    M = np.broadcast_to(np.eye(2, dtype=complex), z.shape + (2, 2)).copy()
-    nodes = ham.grid.nodes
-    for k in range(ham.grid.n_cells):
-        if nodes[k] >= t:
-            break
-        step = min(t, nodes[k + 1]) - nodes[k]
-        M = propagator(ham.cells[k], step, z) @ M
-    return TransferMatrix(t, z, M)
+    for _, state, scale in _sweep(ham, z.reshape(-1), 2, t):
+        pass
+    M = np.moveaxis(_restore(state, scale, t, z), -1, 0)
+    return TransferMatrix(t, z, M.reshape(z.shape + (2, 2)))
 
 
-def node_thetas(ham, z, normalize=False):
+def node_thetas(ham, z):
     """First-column solutions Theta(t_k, z) at every grid node.
 
-    Returns (thetas, logscale): thetas has shape (K+1,) + z.shape + (2,).
-    With ``normalize`` each row is rescaled to sup-norm ~1 and the
-    accumulated log of the removed factors is returned per z (otherwise
-    logscale is zeros).  Scale-invariant quantities (Weyl ratios, disk
-    radii) can be read off the normalized rows directly.
+    Returns (thetas, logscale): thetas has shape (K+1,) + z.shape + (2,),
+    each row rescaled by a power of two to largest modulus in [1/2, 1],
+    and Theta(t_k, z) = thetas[k] * exp(logscale[k]).  Scale-invariant
+    quantities (Weyl ratios, disk radii) can be read off the rows directly.
     """
     z = np.asarray(z, dtype=complex)
-    theta = np.zeros(z.shape + (2,), dtype=complex)
-    theta[..., 0] = 1.0
-    logscale = np.zeros(z.shape)
-    out = [theta.copy()]
-    scales = [logscale.copy()]
-    widths = ham.grid.widths
-    for k in range(ham.grid.n_cells):
-        # sub-step so cosh growth stays far from overflow inside one cell
-        grow = np.max(np.abs(np.imag(z))) * widths[k]
-        nsub = max(1, int(np.ceil(grow / 200.0)))
-        step = widths[k] / nsub
-        for _ in range(nsub):
-            P = propagator(ham.cells[k], step, z)
-            theta = np.einsum("...ij,...j->...i", P, theta)
-            if normalize:
-                mag = np.maximum(np.abs(theta[..., 0]), np.abs(theta[..., 1]))
-                mag = np.where(mag > 0, mag, 1.0)
-                theta = theta / mag[..., None]
-                logscale = logscale + np.log(mag)
-        out.append(theta.copy())
-        scales.append(logscale.copy())
-    return np.stack(out), np.stack(scales)
+    rows = ham.grid.n_cells + 1
+    thetas = np.empty((rows, z.size, 2), dtype=complex)
+    scales = np.empty((rows, z.size), dtype=np.int64)
+    for k, state, scale in _sweep(ham, z.reshape(-1), 1):
+        thetas[k] = state[:, 0].T
+        scales[k] = scale
+    return (thetas.reshape((rows,) + z.shape + (2,)),
+            np.log(2.0) * scales.reshape((rows,) + z.shape))
 
 
 def j_energy_residual(ham, r, z, order=8, rtol=1e-10, max_order=64):
@@ -150,31 +192,32 @@ def j_energy_residual(ham, r, z, order=8, rtol=1e-10, max_order=64):
         <J Theta(r), Theta(r)> = 2i Im(z) * int_0^r <H Theta, Theta> dt.
 
     The right side is integrated per cell with Gauss-Legendre quadrature,
-    doubling the order until the relative change drops below ``rtol``.
-    Returns |LHS - RHS|.
+    doubling the order until the relative change drops below ``rtol``;
+    Theta at the quadrature nodes is one in-cell propagator applied to
+    Theta at the cell start.  Returns |LHS - RHS|.
     """
     if r < 0 or r > ham.grid.span:
         raise DomainError(f"r = {r} outside grid span")
-    z = complex(z)
-    Mr = transfer_matrix(ham, r, z)
-    th = Mr.theta
+    z = np.array([complex(z)])
+    _, states, scales = zip(*_sweep(ham, z, 1, r))
+    theta = _restore(np.concatenate(states, axis=-1)[:, 0],   # (2, n + 1)
+                     np.concatenate(scales), r, z)
+    th = theta[:, -1]
     lhs = np.vdot(th, J @ th)   # sum (J th)_j conj(th_j)
 
+    n = theta.shape[1] - 1                  # cells starting before r
+    a = ham.grid.nodes[:n]
+    b = np.minimum(ham.grid.nodes[1:n + 1], r)
+
     def rhs(p):
-        total = 0.0 + 0.0j
-        nodes = ham.grid.nodes
-        for k in range(ham.grid.n_cells):
-            a = nodes[k]
-            if a >= r:
-                break
-            b = min(r, nodes[k + 1])
-            x, w = gauss_legendre(p, a, b)
-            M0 = transfer_matrix(ham, a, z).m
-            Hc = ham.cells[k]
-            for xi, wi in zip(x, w):
-                th_i = (propagator(Hc, xi - a, z) @ M0)[:, 0]
-                total += wi * np.vdot(th_i, Hc @ th_i)
-        return 2j * z.imag * total
+        x, w = gauss_legendre(p, a, b)                   # (n, p)
+        cells = np.repeat(ham.cells[:n], p, axis=0)
+        P = _propagators(cells, (x - a[:, None]).ravel(), z)[..., 0]
+        th0 = np.repeat(theta[:, :n], p, axis=1)         # (2, n p)
+        th_i = P[:, 0] * th0[0] + P[:, 1] * th0[1]
+        h_th = np.einsum("kij,jk->ik", cells, th_i)
+        total = np.sum(w.ravel() * np.sum(np.conj(th_i) * h_th, axis=0))
+        return 2j * z[0].imag * total
 
     prev = rhs(order)
     while order < max_order:

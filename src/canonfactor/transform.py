@@ -18,7 +18,7 @@ from scipy.special import sici
 
 from .errors import DomainError, ValidationError
 from .hamiltonian import J
-from .solver import node_thetas, transfer_matrix
+from .solver import _sweep, sinch, transfer_matrix
 
 
 def sqrt_psd_2x2(A):
@@ -44,35 +44,11 @@ def sqrt_psd_2x2(A):
     return (A + s * np.eye(2)) / np.sqrt(denom)
 
 
-def _sqrt_cells(cells):
-    """Vectorized PSD square roots of a (K, 2, 2) stack."""
-    a, b, d = cells[:, 0, 0], cells[:, 0, 1], cells[:, 1, 1]
-    det = np.maximum(a * d - b * b, 0.0)
-    s = np.sqrt(det)
-    denom = a + d + 2.0 * s
-    out = np.zeros_like(cells)
-    ok = denom > 0
-    root = np.sqrt(denom[ok])
-    out[ok, 0, 0] = (a[ok] + s[ok]) / root
-    out[ok, 0, 1] = b[ok] / root
-    out[ok, 1, 0] = b[ok] / root
-    out[ok, 1, 1] = (d[ok] + s[ok]) / root
-    return out
-
-
-def _csinc(u):
-    """sin(u)/u for complex u with the removable singularity filled."""
-    u = np.asarray(u, dtype=complex)
-    small = np.abs(u) < 1e-6
-    safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
-
-
 def _exp_segment(z, u, v):
     """int_u^v e^{izt} dt = (v-u) e^{iz(u+v)/2} sinc(z(v-u)/2)."""
     z = np.asarray(z, dtype=complex)
     half = 0.5 * (v - u)
-    return 2.0 * half * np.exp(1j * z * (u + v) / 2.0) * _csinc(z * half)
+    return 2.0 * half * np.exp(1j * z * (u + v) / 2.0) * sinch(z * half)
 
 
 def wave_amplitudes(ham, z, t_max=None):
@@ -85,38 +61,31 @@ def wave_amplitudes(ham, z, t_max=None):
     if not ham.unimodular:
         raise DomainError("waves need a unimodular Hamiltonian")
     z = np.asarray(z, dtype=complex)
-    starts = ham.grid.nodes[:-1]
+    flat = z.reshape(-1)
+    nodes = ham.grid.nodes
     if t_max is None:
         k_use = ham.grid.n_cells
     else:
         if t_max > 2.0 * ham.grid.span + 1e-12:
             raise DomainError(
                 f"wave time {t_max:g} beyond 2*span = {2 * ham.grid.span:g}")
-        k_use = max(1, int(np.searchsorted(starts, t_max / 2.0, side="left")))
+        k_use = max(1, int(np.searchsorted(nodes[:-1], t_max / 2.0,
+                                           side="left")))
 
-    sub = ham
-    if k_use < ham.grid.n_cells:
-        from .hamiltonian import Grid, Hamiltonian
-        sub = Hamiltonian(Grid(ham.grid.nodes[:k_use + 1]),
-                          ham.cells[:k_use], unimodular=True)
-    S = _sqrt_cells(ham.cells[:k_use])
+    S = ham.sqrt_cells()
     # q_c = (1, -i) sqrt(H_c): row0 - i*row1
-    q = S[:, 0, :] - 1j * S[:, 1, :]                     # (k_use, 2)
-
-    flat = z.reshape(-1)
-    alphas = np.empty((k_use,) + flat.shape, dtype=complex)
-    # chunk z so the (k_use+1, chunk, 2) node sweep stays modest in memory
-    chunk = max(1, int(4e6 / max(k_use, 1)))
-    a = starts[:k_use, None]
-    for lo in range(0, flat.size, chunk):
-        zs = flat[lo:lo + chunk]
-        thetas, logs = node_thetas(sub, zs, normalize=True)
-        arg = -1j * zs[None, :] * a + logs[:k_use]
-        if arg.size and np.max(arg.real) > 700.0:
-            raise DomainError("wave amplitudes overflow; reduce Im z or span")
-        inner = (q[:, None, :] * thetas[:k_use]).sum(axis=-1)
-        alphas[:, lo:lo + chunk] = np.exp(arg) * inner
-    return alphas.reshape((k_use,) + z.shape), 2.0 * ham.grid.nodes[:k_use + 1]
+    q = S[:k_use, 0, :] - 1j * S[:k_use, 1, :]          # (k_use, 2)
+    alphas = np.empty((k_use, flat.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Theta at the start a_c of every cell used, with its power-of-two
+        # scale folded into the exponential
+        for c, theta, scale in _sweep(ham, flat, 1, nodes[k_use - 1]):
+            arg = -1j * flat * nodes[c] + np.log(2.0) * scale
+            alphas[c] = np.exp(arg) * (q[c, 0] * theta[0, 0]
+                                       + q[c, 1] * theta[1, 0])
+    if not np.all(np.isfinite(alphas)):
+        raise DomainError("wave amplitudes overflow; reduce Im z or span")
+    return alphas.reshape((k_use,) + z.shape), 2.0 * nodes[:k_use + 1]
 
 
 class KreinWave:

@@ -16,12 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
-from .solver import propagator
-
-
-def _cell_substeps(width, im_max):
-    # cap |Im z| * step so cell propagators stay well inside float range
-    return max(1, int(np.ceil(im_max * width / 200.0)))
+from .solver import _sweep
 
 
 def weyl_sweep(ham, z, tol=1e-12):
@@ -34,34 +29,19 @@ def weyl_sweep(ham, z, tol=1e-12):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
         raise DomainError("Weyl function needs Im z > 0")
-    im_max = float(np.max(z.imag))
-
-    M = np.zeros(z.shape + (2, 2), dtype=complex)
-    M[..., 0, 0] = 1.0
-    M[..., 1, 1] = 1.0
-    best_d = np.full(z.shape, np.inf)
-    best_m = np.full(z.shape, 1j, dtype=complex)
-
-    for cell, width in zip(ham.cells, ham.grid.widths):
-        nsub = _cell_substeps(width, im_max)
-        P = propagator(cell, width / nsub, z)
-        for _ in range(nsub):
-            M = P @ M
-            scale = np.max(np.abs(M), axis=(-2, -1), keepdims=True)
-            M /= scale
-        tp, tm = M[..., 0, 0], M[..., 1, 0]
-        fm = M[..., 1, 1]
-        det = tp * fm - M[..., 0, 1] * tm
-        denom = 2.0 * np.abs((tm * np.conj(tp)).imag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diam = np.where(denom > 0, 2.0 * np.abs(det) / denom, np.inf)
-            m_here = np.where(np.abs(tm) > 0, fm / tm, np.inf + 0j)
-        take = diam < best_d
-        best_d = np.where(take, diam, best_d)
-        best_m = np.where(take, m_here, best_m)
-        if np.all(best_d <= tol):
-            break
-    return best_m, best_d
+    best_d = np.full(z.size, np.inf)
+    best_m = np.full(z.size, 1j, dtype=complex)
+    # diameter 2 |det M| / (2 |Im(Theta^- conj Theta^+)|); an empty
+    # denominator gives inf or nan, which never beats best_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _, ((tp, fp), (tm, fm)), _ in _sweep(ham, z.reshape(-1), 2):
+            diam = np.abs(tp * fm - fp * tm) / np.abs((tm * np.conj(tp)).imag)
+            take = diam < best_d
+            best_d = np.where(take, diam, best_d)
+            best_m = np.where(take, fm / tm, best_m)
+            if np.all(best_d <= tol):
+                break
+    return best_m.reshape(z.shape), best_d.reshape(z.shape)
 
 
 def weyl_function(ham, z, tol=1e-12):

@@ -149,6 +149,16 @@ def test_exit_code_3_domain_error():
     assert "kind=domain" in proc.stderr
 
 
+def test_exit_code_3_header_only_hamiltonian(tmp_path):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("#canon-hamiltonian v1\n")
+    proc = run_cli("forward", "--hamiltonian", str(hfile))
+    assert proc.returncode == 3
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("canonfactor: error kind=domain")
+
+
 def test_exit_code_4_convergence_error(tmp_path):
     hfile = tmp_path / "h.txt"
     write_hamiltonian(Hamiltonian.identity(3.0, 3), hfile)

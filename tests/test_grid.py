@@ -97,6 +97,8 @@ def test_validate_flags_defects():
     # det = -3 never yields a usable object
     with pytest.raises(ValidationError, match="det"):
         Hamiltonian.from_entries([0.0, 1.0], [1.0], [2.0], [1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        Hamiltonian.from_entries([0.0, 1.0], [np.nan], [0.0], [1.0])
 
 
 def test_unimodular_flag_checked():
@@ -118,5 +120,18 @@ def test_hamiltonian_file_round_trip(tmp_path):
 def test_read_hamiltonian_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("no header\n0 1 1 0 1\n")
+    with pytest.raises(ValidationError):
+        read_hamiltonian(path)
+
+
+@pytest.mark.parametrize("body", [
+    "",                                  # header only
+    "0 1 1 0 x\n",                       # non-numeric field
+    "0 1 1 0 nan\n",                     # non-finite field
+    "0 1 1 0\n",                         # wrong column count
+])
+def test_read_hamiltonian_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("#canon-hamiltonian v1\n" + body)
     with pytest.raises(ValidationError):
         read_hamiltonian(path)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from canonfactor import (DomainError, HalfLineFunction, a2_classical,
-                         a2_ell1, decompose_L1_L2, lemma2_harness,
-                         log_derivative, norm_L1, norm_L1_plus_L2, norm_L2,
-                         read_halfline, write_halfline)
+from canonfactor import (DomainError, HalfLineFunction, ValidationError,
+                         a2_classical, a2_ell1, decompose_L1_L2,
+                         lemma2_harness, log_derivative, norm_L1,
+                         norm_L1_plus_L2, norm_L2, read_halfline,
+                         write_halfline)
 
 
 def rand_fn(rng, n_cells=8, span=None):
@@ -134,6 +135,14 @@ def test_halfline_file_round_trip(tmp_path):
     back = read_halfline(path)
     assert np.array_equal(back.values, f.values)
     assert np.array_equal(back.grid.nodes, f.grid.nodes)
+
+
+@pytest.mark.parametrize("body", ["", "0 1 x\n", "0 1 inf\n", "0 1\n"])
+def test_read_halfline_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("#halfline v1\n" + body)
+    with pytest.raises(ValidationError):
+        read_halfline(path)
 
 
 def test_integrate_with_tail_and_transform():

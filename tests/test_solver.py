@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from canonfactor import (Hamiltonian, j_energy_residual, node_thetas,
-                         random_unimodular, transfer_matrix)
+from canonfactor import (DomainError, Hamiltonian, J, inverse_spectral,
+                         j_energy_residual, node_thetas, random_unimodular,
+                         sinc_bump_weight, transfer_matrix)
+from canonfactor.solver import _restore, _sweep
 
 
 def test_free_system_is_rotation():
@@ -68,10 +70,68 @@ def test_node_thetas_normalization_consistent():
     rng = np.random.default_rng(23)
     ham = random_unimodular(rng, 5, span=5.0)
     z = np.array([0.5 + 0.8j, 2j])
-    raw, _ = node_thetas(ham, z)
-    nrm, logscale = node_thetas(ham, z, normalize=True)
-    rebuilt = nrm * np.exp(logscale)[..., None]
-    assert np.allclose(rebuilt, raw, rtol=1e-12)
+    thetas, logscale = node_thetas(ham, z)
+    rebuilt = thetas * np.exp(logscale)[..., None]
+    for k, node in enumerate(ham.grid.nodes):
+        ref = transfer_matrix(ham, node, z).theta
+        assert np.allclose(rebuilt[k], ref, rtol=1e-12, atol=0.0)
+    # rows are rescaled to largest modulus in [1/2, 1]
+    top = np.max(np.abs(thetas), axis=-1)
+    assert np.all((top >= 0.5) & (top <= 1.0))
+
+
+def test_rescale_is_exact():
+    # the m = 1 and m = 2 sweeps remove different powers of two (Phi,
+    # which only the m = 2 maximum sees, is 4x larger than Theta here);
+    # with the scale put back both must give the unscaled product bit
+    # for bit
+    ham = Hamiltonian.constant([[0.25, 0.0], [0.0, 4.0]], span=30.0,
+                               n_cells=12)
+    z = np.array([0.3 + 2.0j, -1.0 + 5.0j, 2.0 + 0.1j])
+    one = list(_sweep(ham, z, 1))
+    two = list(_sweep(ham, z, 2))
+    assert len(one) == len(two) == ham.grid.n_cells + 1
+    assert any(np.any(s1 != s2) for (_, _, s1), (_, _, s2) in zip(one, two))
+    for (_, a, s1), (_, b, s2) in zip(one, two):
+        assert np.array_equal(_restore(a, s1, 30.0, z),
+                              _restore(b[:, :1], s2, 30.0, z))
+
+
+def test_matches_per_cell_product():
+    # reference: the plain product of one closed-form propagator per cell
+    rng = np.random.default_rng(37)
+    ham = random_unimodular(rng, 9, span=7.0)
+    zs = np.array([0.4 + 0.3j, -2.0 + 1.0j, 3.0 - 0.5j])
+    ref = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
+    for k in range(ham.grid.n_cells):
+        d = np.sqrt(ham.dets[k])
+        theta = zs * ham.grid.widths[k] * d
+        G = J @ ham.cells[k]
+        P = (np.cos(theta)[:, None, None] * np.eye(2)
+             - (zs * ham.grid.widths[k] * np.sinc(theta / np.pi))[:, None, None]
+             * G)
+        ref = P @ ref
+    M = transfer_matrix(ham, ham.grid.span, zs).m
+    assert np.max(np.abs(M - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_overflow_is_domain_error():
+    # Im z * t = 8000 puts M(t, z) far beyond double range
+    ham = inverse_spectral(sinc_bump_weight(0.5, 1.0), 20.0, 64)
+    with pytest.raises(DomainError, match="Im z"):
+        transfer_matrix(ham, 20.0, 1 + 400j)
+    # the rescaled sweep itself stays finite
+    thetas, logscale = node_thetas(ham, np.array([1 + 400j]))
+    assert np.all(np.isfinite(thetas)) and logscale[-1, 0] > 7000.0
+
+
+def test_non_finite_z_rejected():
+    ham = Hamiltonian.identity(2.0, 2)
+    for z in (np.nan, 1.0 + 1j * np.inf, complex(np.inf, 0.0)):
+        with pytest.raises(DomainError):
+            transfer_matrix(ham, 1.0, z)
+        with pytest.raises(DomainError):
+            node_thetas(ham, np.array([0.5j, z]))
 
 
 def test_j_energy_residual_small():

@@ -28,6 +28,12 @@ def test_wave_amplitudes_free_system():
     assert np.allclose(wave_nodes, 2.0 * ham.grid.nodes)
 
 
+def test_wave_amplitudes_reject_non_finite_z():
+    ham = Hamiltonian.identity(4.0, 5)
+    with pytest.raises(DomainError):
+        wave_amplitudes(ham, np.array([0.5, np.nan]))
+
+
 def test_krein_wave_free_system_is_exponential():
     ham = Hamiltonian.identity(6.0, 6)
     for t in (0.0, 1.3, 5.0):

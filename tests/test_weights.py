@@ -47,6 +47,14 @@ def test_weight_file_round_trip(tmp_path):
         read_weight(path)
 
 
+@pytest.mark.parametrize("body", ["", "0 x\n1 2\n", "0 1 2\n"])
+def test_read_weight_malformed_rows(tmp_path, body):
+    path = tmp_path / "w.txt"
+    path.write_text("#weight v1\n" + body)
+    with pytest.raises(ValidationError):
+        read_weight(path)
+
+
 # -- accelerants ---------------------------------------------------------------
 
 def test_step_accelerant_is_sinc():

@@ -59,6 +59,18 @@ def test_weyl_requires_upper_half_plane():
         weyl_function(ham, 1.0 - 1j)
 
 
+def test_non_finite_z_rejected():
+    ham = Hamiltonian.identity(10.0, 2)
+    with pytest.raises(DomainError):
+        weyl_sweep(ham, np.array([1 + 1j * np.nan]))
+    with pytest.raises(DomainError):
+        weyl_sweep(ham, np.array([1j, np.inf + 1j]))
+    with pytest.raises(DomainError):
+        spectral_density(ham, [np.nan])
+    with pytest.raises(DomainError):
+        boundary_values(ham, [0.0, np.inf])
+
+
 def test_herglotz_b_residual_decays():
     ham = Hamiltonian.identity(40.0, 4)
     r1 = herglotz_b_residual(ham, 5.0)
