@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .accelerant import accelerant_from_weight
 from .errors import DomainError
@@ -19,7 +20,7 @@ from .factorize import chain_preservation_check, factor_via_transform
 from .halfline import (HalfLineFunction, a2_classical, a2_ell1,
                        decompose_L1_L2, norm_L1, norm_L1_plus_L2, norm_L2)
 from .hamiltonian import Hamiltonian, random_unimodular
-from .inverse import inverse_spectral
+from .inverse import _toeplitz_column, inverse_spectral
 from .measures import (SpectralMeasure, constant_weight, cosine_bump_weight,
                        sinc_bump_weight, step_weight)
 from .solver import transfer_matrix
@@ -343,10 +344,7 @@ def criterion_11(ctx):
     kern = accelerant_from_weight(mu, 512 * h, 1024)
     mins = []
     for n in (128, 256, 512):
-        col = h * kern(h * np.arange(n))
-        col[0] += 1.0
-        from scipy.linalg import toeplitz
-        eigs = np.linalg.eigvalsh(toeplitz(col))
+        eigs = np.linalg.eigvalsh(toeplitz(_toeplitz_column(kern, h, n)))
         mins.append(float(eigs[0]))
     decreasing = mins[0] > mins[1] > mins[2] > 0
     ok = decreasing and mins[2] <= 0.5 * mins[0]

@@ -16,10 +16,12 @@ compared against a direct Cholesky oracle.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .accelerant import accelerant_from_weight
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .inverse import inverse_spectral
+from .hamiltonian import _read_rows
+from .inverse import _toeplitz_column, inverse_spectral
 from .transform import wave_amplitudes
 
 
@@ -50,10 +52,7 @@ def build_toeplitz(mu, n, h):
         lo = hi = c
     else:
         kern = accelerant_from_weight(mu, (n - 1) * h if n > 1 else h, max(n, 2))
-        col = h * kern(h * np.arange(n))
-        col[0] += 1.0
-        from scipy.linalg import toeplitz
-        W = toeplitz(col)
+        W = toeplitz(_toeplitz_column(kern, h, n))
         eigs = np.linalg.eigvalsh(W)
         lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
@@ -199,12 +198,13 @@ def write_matrix(A, path):
 def read_matrix(path):
     """Read a `#matrix v1` file back into an ndarray."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["#matrix", "v1"]:
-            raise ValidationError(f"{path}: not a #matrix v1 file")
-        rows = [np.array([float(x) for x in line.split()])
-                for line in fh if line.strip()]
-    A = np.vstack(rows)
-    if A.shape != (int(header[2]), int(header[3])):
+        raw = [ln.strip() for ln in fh if ln.strip()]
+    header = raw[0].split() if raw else []
+    if (len(header) != 4 or header[:2] != ["#matrix", "v1"]
+            or not all(f.isdigit() for f in header[2:])):
+        raise ValidationError(
+            f"{path}: missing '#matrix v1 <rows> <cols>' header")
+    A = _read_rows(path, raw[1:], int(header[3]))
+    if A.shape[0] != int(header[2]):
         raise ValidationError(f"{path}: shape mismatch with header")
     return A

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from canonfactor import inverse_spectral, sinc_bump_weight, step_weight
+
+# property tests draw the same examples on every run and have no deadline
+# (one example solves Toeplitz systems of order up to 512)
+settings.register_profile("canonfactor", derandomize=True, deadline=None,
+                          max_examples=20)
+settings.load_profile("canonfactor")
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from canonfactor import (SpectralPositivityError, build_toeplitz,
-                         chain_preservation_check, cholesky_oracle,
-                         constant_weight, factor_via_transform, read_matrix,
-                         sinc_bump_weight, step_weight, write_matrix)
+from canonfactor import (SpectralPositivityError, ValidationError,
+                         build_toeplitz, chain_preservation_check,
+                         cholesky_oracle, constant_weight,
+                         factor_via_transform, read_matrix, sinc_bump_weight,
+                         step_weight, write_matrix)
 
 
 def test_build_toeplitz_constant():
@@ -104,3 +105,16 @@ def test_matrix_file_round_trip(tmp_path):
     write_matrix(A, path)
     back = read_matrix(path)
     assert np.array_equal(back, A)
+
+
+@pytest.mark.parametrize("text", [
+    "#matrix v1 2 2\n",                    # header only
+    "#matrix v1\n1 2\n3 4\n",              # short header
+    "#matrix v1 2 2\n1 2\n3 x\n",          # non-numeric field
+    "#matrix v1 2 2\n1 2\n3\n",            # ragged rows
+])
+def test_read_matrix_malformed(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="bad.txt"):
+        read_matrix(path)

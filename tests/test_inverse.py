@@ -1,11 +1,41 @@
 """Inverse spectral recovery: shortcuts, round trips, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular, toeplitz
 
-from canonfactor import (DomainError, constant_weight, inverse_spectral,
-                         sampled_weight, spectral_density, step_weight,
+from canonfactor import (DomainError, SpectralPositivityError,
+                         accelerant_from_weight, constant_weight,
+                         inverse_spectral, sampled_weight, sinc_bump_weight,
+                         spectral_density, step_weight, wave_values_at_zero,
                          weyl_function)
+from canonfactor import inverse
+
+# sinc bumps and steps; w < 1 somewhere for a negative amplitude or an
+# inner value below 1, and then coarse sections can be indefinite
+weights = st.one_of(
+    st.builds(sinc_bump_weight, st.floats(-0.6, 1.5), st.floats(0.5, 2.0)),
+    st.builds(step_weight, st.floats(0.3, 3.0), st.floats(0.3, 2.0)))
+
+
+def dense_section(mu, span, n):
+    """The order-2n Toeplitz matrix of the inverse map and its spectrum,
+    built densely as the oracle for the column route."""
+    eta = span / n
+    kern = accelerant_from_weight(mu, (2 * n - 1) * eta, 2 * n)
+    col = eta * kern(eta * np.arange(2 * n))
+    col[0] += 1.0
+    W = toeplitz(col)
+    eigs = np.linalg.eigvalsh(W)
+    if eigs[0] < -1e-8:
+        with pytest.raises(SpectralPositivityError):
+            wave_values_at_zero(mu, span, n)
+    assume(eigs[0] > 1e-8)
+    return col, W, eigs
 
 
 def test_constant_weight_shortcut_exact():
@@ -52,6 +82,58 @@ def test_inversion_report(bump_mu):
     assert rep.cond >= 1.0
     assert rep.max_det_dev < 1e-13
     assert not rep.ill_conditioned
+    assert 0 < rep.pe_floor <= 1.0
+    assert 0 <= rep.max_reflection < 1.0
+    assert "pe_floor=" in repr(rep) and "max_reflection=" in repr(rep)
+
+
+def test_constant_weight_report_health():
+    _, rep = inverse_spectral(constant_weight(2.0), 10.0, 8, report=True)
+    assert (rep.min_eig, rep.max_eig, rep.cond) == (2.0, 2.0, 1.0)
+    assert (rep.pe_floor, rep.max_reflection) == (1.0, 0.0)
+
+
+@given(mu=weights, n=st.integers(2, 256), span=st.floats(2.0, 20.0))
+def test_levinson_matches_cholesky(mu, n, span):
+    ref_col, W, _ = dense_section(mu, span, n)
+    y, eta, col = wave_values_at_zero(mu, span, n)
+    assert eta == span / n and np.array_equal(col, ref_col)
+    ref = solve_triangular(cholesky(W, lower=True), np.ones(2 * n),
+                           lower=True)
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@given(mu=weights, n=st.integers(2, 256), span=st.floats(2.0, 20.0))
+def test_report_extremes_are_certified(mu, n, span):
+    _, _, eigs = dense_section(mu, span, n)
+    _, rep = inverse_spectral(mu, span, n, report=True)
+    assert eigs[0] * (1 - 1e-9) <= rep.min_eig <= eigs[0]
+    assert eigs[-1] <= rep.max_eig <= eigs[-1] * (1 + 1e-9)
+    assert rep.cond >= eigs[-1] / eigs[0]
+
+
+@pytest.mark.parametrize("col", [
+    [1.0, 1.1, 0.0, 0.0],             # |k_1| > 1 at the first step
+    [1.0, 0.6, 0.0, 0.0, 0.0, 0.0],   # order-4 section positive, order 5 not
+])
+def test_indefinite_column_raises(monkeypatch, col):
+    col = np.array(col)
+    assert np.linalg.eigvalsh(toeplitz(col))[0] < 0
+    monkeypatch.setattr(inverse, "_toeplitz_column",
+                        lambda kern, h, n: col.copy())
+    with pytest.raises(SpectralPositivityError):
+        wave_values_at_zero(sinc_bump_weight(0.5, 1.0), 4.0, len(col) // 2)
+
+
+def test_inverse_memory_is_linear_in_n(bump_mu):
+    # the dense route held three 2N x 2N matrices, 272 MB at N = 2048
+    tracemalloc.start()
+    try:
+        inverse_spectral(bump_mu, 20.0, 2048, report=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_inverse_requires_unit_tail():
