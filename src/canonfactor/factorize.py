@@ -187,8 +187,14 @@ def factor_via_transform(mu, R, n, oversample=16):
 
 
 def write_matrix(A, path):
-    """Write a dense matrix as `#matrix v1` text (one row per line)."""
+    """Write a dense matrix as `#matrix v1` text (one row per line).
+
+    Non-finite entries raise ValidationError before the file is opened,
+    since ``read_matrix`` would reject them.
+    """
     A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise ValidationError(f"{path}: matrix has non-finite entries")
     with open(path, "w") as fh:
         fh.write(f"#matrix v1 {A.shape[0]} {A.shape[1]}\n")
         for row in A:

@@ -4,6 +4,13 @@ Carries the L1+L2 norm with its constructive truncation split, the
 ell^1-style Muckenhoupt characteristic over sliding windows [n, n+2],
 the classical A2 characteristic over a grid-aligned interval family,
 and the harness pairing a multiplier g with a candidate weight h.
+
+The L1+L2 truncation level is exact: the split objective has a closed
+form between consecutive values of |f|, so its minimum is read off the
+breakpoints and one stationary point per piece.  Both Muckenhoupt
+characteristics take their interval averages from the antiderivatives
+of f and 1/f (one cumulative sum each), and the classical one scans its
+endpoint pairs in row blocks, in memory linear in the endpoint count.
 """
 
 from dataclasses import dataclass
@@ -86,47 +93,40 @@ class HalfLineFunction:
 
 # -- L1 + L2 ------------------------------------------------------------------
 
-def _objective(absf, widths, c):
-    spike = np.maximum(absf - c, 0.0)
-    body = np.minimum(absf, c)
-    return float(np.dot(widths, spike) + np.sqrt(np.dot(widths, body * body)))
-
-
 def _require_l1l2(f):
     if f.tail not in (None, 0.0):
         raise UnsupportedFeatureError(
             "nonzero constant tail is not in L1 + L2")
 
 
-def _norm_and_level(absf, widths, scans=257):
-    cmax = float(absf.max(initial=0.0))
-    if cmax == 0.0:
+def _norm_and_level(absf, widths):
+    """Exact min over c >= 0 of ||(|f| - c)_+||_1 + ||min(|f|, c)||_2,
+    and a level c attaining it.
+
+    With |f| sorted, piece k is [a_k, a_{k+1}] (a_0 = 0, a_{n+1} = inf):
+    there the cells above c have width B and integral S, the cells below
+    have squared L2 norm Q, and the objective is S - B c + sqrt(Q + B c^2).
+    That is convex in c, with its minimum at c = sqrt(Q / (1 - B)) when
+    B < 1 and at the right end otherwise, so the least value over every
+    piece's left end and clipped stationary point is the global minimum.
+    """
+    order = np.argsort(absf)
+    a, w = absf[order], widths[order]
+    if a[-1] == 0.0:
         return 0.0, 0.0
-    cand = np.unique(np.concatenate([
-        np.linspace(0.0, cmax, scans), absf[absf > 0]]))
-    vals = np.array([_objective(absf, widths, c) for c in cand])
-    k = int(np.argmin(vals))
-    lo = cand[max(k - 1, 0)]
-    hi = cand[min(k + 1, len(cand) - 1)]
-    # golden-section polish inside the bracketing pair
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1, c2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = _objective(absf, widths, c1), _objective(absf, widths, c2)
-    for _ in range(60):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = _objective(absf, widths, c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = _objective(absf, widths, c2)
-    c_best = 0.5 * (a + b)
-    v_best = _objective(absf, widths, c_best)
-    if vals[k] < v_best:
-        c_best, v_best = cand[k], vals[k]
-    return v_best, float(c_best)
+    lo = np.concatenate([[0.0], a])
+    hi = np.concatenate([a, [np.inf]])
+    Q = np.concatenate([[0.0], np.cumsum(w * a * a)])
+    B = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+    S = np.concatenate([np.cumsum((w * a)[::-1])[::-1], [0.0]])
+    stat = lo.copy()
+    inner = B < 1.0
+    stat[inner] = np.sqrt(Q[inner] / (1.0 - B[inner]))
+    c = np.concatenate([lo, np.clip(stat, lo, hi)])
+    k = np.tile(np.arange(lo.size), 2)
+    vals = S[k] - B[k] * c + np.sqrt(Q[k] + B[k] * c * c)
+    best = int(np.argmin(vals))
+    return float(vals[best]), float(c[best])
 
 
 def norm_L1_plus_L2(f):
@@ -193,25 +193,43 @@ def _require_positive(f, need_tail=True):
             raise DomainError("A2 operations need a positive constant tail")
 
 
+def _primitive(f, t, inverse=False):
+    """int_0^t f (or 1/f) for every t in the array t, tail included.
+
+    One cumulative sum over the cells and a searchsorted; t < 0 counts
+    from 0.  The tail must be set when some t lies beyond the grid.  The
+    sum runs in long double where the platform has it, so a difference
+    of two values keeps the accuracy of a direct sum over its window.
+    """
+    nodes, vals, tail = f.grid.nodes, f.values, f.tail
+    if inverse:
+        vals, tail = 1.0 / vals, 1.0 / tail
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    prim = np.concatenate([[0.0], np.cumsum(np.diff(nodes) * vals,
+                                            dtype=np.longdouble)])
+    k = np.minimum(np.searchsorted(nodes, t, side="right") - 1, vals.size - 1)
+    inside = prim[k] + (np.minimum(t, nodes[-1]) - nodes[k]) * vals[k]
+    return inside + np.maximum(t - nodes[-1], 0.0) * tail
+
+
 def a2_ell1_terms(f, window=2.0, offset=0.0):
     """Window defects avg-product terms of the ell1 characteristic.
 
     Windows are [n + offset, n + offset + window] for n = 0, 1, ...; the
     series stops once a window lies entirely in the constant tail (its
-    term vanishes by the Hoelder equality case).
+    term vanishes by the Hoelder equality case).  Every window integral
+    is a difference of the antiderivatives of f and 1/f.
     """
     _require_positive(f)
     if window <= 0:
         raise DomainError("window length must be positive")
     n_stop = int(np.ceil(max(f.grid.span - offset, 0.0))) + 1
-    terms = []
-    for n in range(n_stop):
-        a = n + offset
-        b = a + window
-        i1 = f.integrate(a, b)
-        i2 = f.integrate(a, b, transform=lambda x: 1.0 / x)
-        terms.append(i1 * i2 - window * window)
-    return np.asarray(terms)
+    a = np.arange(n_stop) + offset
+    b = a + window
+    i1 = (_primitive(f, b) - _primitive(f, a)).astype(float)
+    i2 = (_primitive(f, b, inverse=True)
+          - _primitive(f, a, inverse=True)).astype(float)
+    return i1 * i2 - window * window
 
 
 def a2_ell1(f, window=2.0, offset=0.0):
@@ -224,17 +242,40 @@ def a2_ell1(f, window=2.0, offset=0.0):
 
 
 def _candidate_nodes(f, interval_budget):
-    nodes = [f.grid.nodes]
+    nodes = f.grid.nodes
+    cands = [nodes]
     for level in range(1, int(interval_budget) + 1):
         k = 2 ** level
-        sub = np.concatenate([
-            np.linspace(a, b, k + 1)[1:-1]
-            for a, b in zip(f.grid.nodes[:-1], f.grid.nodes[1:])])
-        nodes.append(sub)
+        step = np.diff(nodes) / k
+        cands.append((nodes[:-1, None]
+                      + np.arange(1, k) * step[:, None]).ravel())
     span = f.grid.span
-    nodes.append(span * np.array([1.0625, 1.125, 1.25, 1.5, 2.0, 4.0, 8.0,
+    cands.append(span * np.array([1.0625, 1.125, 1.25, 1.5, 2.0, 4.0, 8.0,
                                   16.0, 100.0]))
-    return np.unique(np.concatenate(nodes))
+    return np.unique(np.concatenate(cands))
+
+
+_PAIR_BLOCK = 2 ** 16     # entries per row block of the pair scan
+
+
+def _sup_pair_product(t, F, G):
+    """max over i < j of (F_j - F_i)(G_j - G_i) / (t_j - t_i)^2, t increasing.
+
+    Rows go in blocks of about _PAIR_BLOCK entries, each against the
+    columns after the block's first row.  The value is symmetric in i and
+    j, so the few pairs with j < i inside a block repeat valid ones, and
+    the diagonal (0 / 0) is skipped, keeping 0 * 0 = 0.
+    """
+    rows = max(1, _PAIR_BLOCK // t.size)
+    best = 0.0
+    for i0 in range(0, t.size - 1, rows):
+        i = slice(i0, min(i0 + rows, t.size - 1))
+        j = slice(i0 + 1, None)
+        dt2 = (t[j] - t[i, None]) ** 2
+        prod = (F[j] - F[i, None]) * (G[j] - G[i, None])
+        np.divide(prod, dt2, out=prod, where=dt2 > 0.0)
+        best = max(best, float(np.max(prod)))
+    return best
 
 
 def a2_classical(f, interval_budget=3):
@@ -243,22 +284,18 @@ def a2_classical(f, interval_budget=3):
 
     The supremum is taken over intervals with endpoints on the grid, on
     dyadic refinements of it up to interval_budget levels, and on a
-    geometric family reaching into the tail.
+    geometric family reaching into the tail.  The averages come from the
+    antiderivatives of f and 1/f at the candidate endpoints, and the
+    pairs are scanned in row blocks, so memory stays linear in the
+    number of endpoints.
     """
     if np.all(f.values == f.values[0]) and (f.tail in (None, f.values[0])):
         _require_positive(f, need_tail=False)
         return 1.0                          # Hoelder equality case, exact
     _require_positive(f)
     pts = _candidate_nodes(f, interval_budget)
-    F = np.array([f.integrate(0.0, b) for b in pts])
-    G = np.array([f.integrate(0.0, b, transform=lambda x: 1.0 / x)
-                  for b in pts])
-    dF = F[None, :] - F[:, None]
-    dG = G[None, :] - G[:, None]
-    dt = pts[None, :] - pts[:, None]
-    iu = np.triu_indices(len(pts), k=1)
-    prod = (dF[iu] / dt[iu]) * (dG[iu] / dt[iu])
-    return float(np.max(prod))
+    return _sup_pair_product(pts, _primitive(f, pts).astype(float),
+                             _primitive(f, pts, inverse=True).astype(float))
 
 
 # -- inequality harness --------------------------------------------------------

@@ -44,19 +44,13 @@ class SpectralMeasure:
     tail_bound : callable or None
         Decreasing bound on |w - tail| beyond the window; None means the
         deviation vanishes identically outside the window.
-    herglotz_a, herglotz_b : float
-        Recorded coefficients of the integral representation; b must be >= 0.
-        Kept for completeness, unused by the numeric operations.
     """
 
     def __init__(self, density, c1, c2, tail=None, window=0.0,
-                 tail_bound=None, singular=None, herglotz_a=0.0,
-                 herglotz_b=0.0, label="custom", params=None,
-                 breakpoints=()):
+                 tail_bound=None, singular=None, label="custom",
+                 params=None, breakpoints=()):
         if not (0 <= c1 <= c2):
             raise ValidationError(f"need 0 <= c1 <= c2, got c1={c1}, c2={c2}")
-        if herglotz_b < 0:
-            raise ValidationError("herglotz_b must be nonnegative")
         self._density = density
         self.c1 = float(c1)
         self.c2 = float(c2)
@@ -64,8 +58,6 @@ class SpectralMeasure:
         self.window = float(window)
         self.tail_bound = tail_bound
         self.singular = list(singular) if singular else []
-        self.herglotz_a = float(herglotz_a)
-        self.herglotz_b = float(herglotz_b)
         self.label = label
         self.params = dict(params or {})
         self.breakpoints = [float(b) for b in breakpoints]  # kinks of w

@@ -118,3 +118,11 @@ def test_read_matrix_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValidationError, match="bad.txt"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_matrix_rejects_nonfinite(tmp_path, bad):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValidationError, match="m.txt"):
+        write_matrix([[1.0, bad], [0.0, 1.0]], path)
+    assert not path.exists()

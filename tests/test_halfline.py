@@ -1,13 +1,18 @@
 """Half-line functions: L1+L2 splits, Muckenhoupt characteristics, harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canonfactor import (DomainError, HalfLineFunction, ValidationError,
-                         a2_classical, a2_ell1, decompose_L1_L2,
-                         lemma2_harness, log_derivative, norm_L1,
-                         norm_L1_plus_L2, norm_L2, read_halfline,
-                         write_halfline)
+                         a2_classical, a2_ell1, a2_ell1_terms,
+                         decompose_L1_L2, inverse_spectral, lemma2_harness,
+                         log_derivative, norm_L1, norm_L1_plus_L2, norm_L2,
+                         read_halfline, sinc_bump_weight, write_halfline)
+from canonfactor.halfline import _candidate_nodes, _norm_and_level
 
 
 def rand_fn(rng, n_cells=8, span=None):
@@ -151,3 +156,130 @@ def test_integrate_with_tail_and_transform():
     assert f.integrate(1.5, 3.0) == 0.5 * 4.0 + 1.0
     assert abs(f.integrate(0.0, 2.0, transform=lambda x: 1.0 / x)
                - (0.5 + 0.25)) < 1e-15
+
+
+# -- oracles: dense pair arrays and a scanned level search --------------------
+
+def dense_a2_classical(f, interval_budget=3):
+    """sup of avg(f) avg(1/f) over all candidate pairs, from P x P arrays
+    and one windowed integral per endpoint."""
+    nodes = f.grid.nodes
+    pts = [nodes, f.grid.span * np.array([1.0625, 1.125, 1.25, 1.5, 2.0, 4.0,
+                                          8.0, 16.0, 100.0])]
+    for level in range(1, interval_budget + 1):
+        pts += [np.linspace(a, b, 2 ** level + 1)[1:-1]
+                for a, b in zip(nodes[:-1], nodes[1:])]
+    pts = np.unique(np.concatenate(pts))
+    assert np.array_equal(pts, _candidate_nodes(f, interval_budget))
+    F = np.array([f.integrate(0.0, b) for b in pts])
+    G = np.array([f.integrate(0.0, b, transform=lambda x: 1.0 / x)
+                  for b in pts])
+    iu = np.triu_indices(len(pts), k=1)
+    dt = (pts[None, :] - pts[:, None])[iu]
+    dF = (F[None, :] - F[:, None])[iu]
+    dG = (G[None, :] - G[:, None])[iu]
+    return float(np.max((dF / dt) * (dG / dt)))
+
+
+def scanned_norm_and_level(absf, widths, scans=257):
+    """257-point scan of the split objective, then 60 golden-section
+    steps inside the best bracket."""
+    def objective(c):
+        spike = np.maximum(absf - c, 0.0)
+        body = np.minimum(absf, c)
+        return float(np.dot(widths, spike)
+                     + np.sqrt(np.dot(widths, body * body)))
+
+    cmax = float(absf.max(initial=0.0))
+    if cmax == 0.0:
+        return 0.0, 0.0
+    cand = np.unique(np.concatenate([
+        np.linspace(0.0, cmax, scans), absf[absf > 0]]))
+    vals = np.array([objective(c) for c in cand])
+    k = int(np.argmin(vals))
+    a, b = cand[max(k - 1, 0)], cand[min(k + 1, len(cand) - 1)]
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c1, c2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = objective(c1), objective(c2)
+    for _ in range(60):
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - gr * (b - a)
+            f1 = objective(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + gr * (b - a)
+            f2 = objective(c2)
+    c_best = 0.5 * (a + b)
+    v_best = objective(c_best)
+    if vals[k] < v_best:
+        c_best, v_best = cand[k], vals[k]
+    return v_best, float(c_best)
+
+
+positive_cells = st.lists(st.tuples(st.floats(0.05, 2.0),
+                                    st.floats(0.05, 20.0)),
+                          min_size=1, max_size=12)
+
+
+@given(cells=positive_cells, tail=st.floats(0.05, 20.0),
+       budget=st.integers(0, 3))
+def test_a2_classical_matches_dense_oracle(cells, tail, budget):
+    widths, vals = np.array(cells).T
+    f = HalfLineFunction(np.concatenate([[0.0], np.cumsum(widths)]), vals,
+                         tail=tail)
+    ref = dense_a2_classical(f, budget)
+    assert abs(a2_classical(f, budget) - ref) <= 1e-13 * ref
+
+
+@given(cells=st.lists(st.tuples(st.floats(0.05, 2.0),
+                                st.floats(0.0, 1e3) | st.just(0.0)),
+                      min_size=1, max_size=40))
+def test_exact_level_never_above_scan(cells):
+    widths, absf = np.array(cells).T
+    value, level = _norm_and_level(absf, widths)
+    ref, _ = scanned_norm_and_level(absf, widths)
+    assert value <= ref * (1.0 + 1e-14)
+    assert 0.0 <= level <= absf.max()
+
+
+def test_exact_level_on_drawn_functions():
+    rng = np.random.default_rng(2)
+    gain = 0.0
+    for _ in range(300):
+        f = rand_fn(rng, int(rng.integers(1, 30)))
+        absf, widths = np.abs(f.values), f.grid.widths
+        value, _ = _norm_and_level(absf, widths)
+        ref, _ = scanned_norm_and_level(absf, widths)
+        assert value <= ref * (1.0 + 1e-14)
+        gain = max(gain, (ref - value) / max(ref, 1e-300))
+    assert gain < 1e-12      # the scan was already at the minimum
+
+
+def test_a2_ell1_terms_are_windowed_integrals():
+    # 4,000 cells over [0, 2000]: the antiderivative reaches ~5e3, so a
+    # double-precision running sum would leave ~1e-11 in each window
+    rng = np.random.default_rng(8)
+    f = HalfLineFunction.from_uniform(rng.uniform(0.2, 5.0, 4000),
+                                      span=2000.0, tail=1.7)
+    for offset in (0.0, 0.4, -0.5):
+        terms = a2_ell1_terms(f, window=2.0, offset=offset)
+        ref = [f.integrate(max(n + offset, 0.0), n + offset + 2.0)
+               * f.integrate(max(n + offset, 0.0), n + offset + 2.0,
+                             transform=lambda x: 1.0 / x) - 4.0
+               for n in range(len(terms))]
+        assert np.max(np.abs(terms - ref)) < 1e-12
+
+
+def test_a2_classical_memory_is_linear():
+    # P x P arrays over these P = 4,106 candidate endpoints take ~700 MB
+    ham = inverse_spectral(sinc_bump_weight(0.5, 1.0), 20.0, 512)
+    f = HalfLineFunction(ham.grid.nodes, ham.h1, tail=1.0)
+    tracemalloc.start()
+    try:
+        value = a2_classical(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value >= 1.0
+    assert peak < 64 * 2 ** 20

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from canonfactor import (ConvergenceError, DomainError, Hamiltonian,
                          SpectralMeasure, boundary_values, constant_weight,
-                         herglotz_b_residual, sampled_weight,
-                         spectral_density, step_weight, szego_K,
-                         weyl_function, weyl_sweep)
+                         cosine_bump_weight, herglotz_b_residual,
+                         sampled_weight, sinc_bump_weight, spectral_density,
+                         step_weight, szego_K, weyl_function, weyl_sweep)
 
 
 def test_weyl_diagonal_constant():
@@ -141,3 +144,64 @@ def test_szego_rejects_singular_part():
                          1.0, 1.0, tail=1.0, singular=[(0.0, 1.0)])
     with pytest.raises(UnsupportedFeatureError):
         szego_K(mu, 1j)
+
+
+def quad_szego_K(mu, z):
+    """szego_K with one scalar ``quad`` per segment: the independent oracle.
+
+    Same segment edges as the library (window, breakpoints, the pushed-out
+    X and its geometric sub-edges), but each integrand is integrated on
+    its own by QUADPACK with Python callbacks.
+    """
+    u, v = z.real, z.imag
+    tail = mu.tail
+    X = max(mu.window, abs(u) + 50.0 * v, 50.0)
+    if mu.tail_bound is not None:
+        while (mu.tail_deviation(X) * 2.0 * v / (np.pi * X) > 1e-13
+               and X < 1e7):
+            X *= 2.0
+    W = min(X, max(mu.window, abs(u) + 50.0 * v, 50.0))
+    pts = {p for p in mu.breakpoints if -X < p < X} | {-W, W}
+    e = W
+    while e * 4.0 < X:
+        e *= 4.0
+        pts.update((-e, e))
+    edges = [-X] + sorted(pts) + [X]
+
+    def poisson(t):
+        return (v / np.pi) / ((t - u) ** 2 + v ** 2)
+
+    def segmented(g):
+        return sum(quad(g, lo, hi, limit=800, epsabs=1e-13, epsrel=1e-12)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
+
+    dev1 = segmented(lambda t: (float(mu(t)) - tail) * poisson(t))
+    dev2 = segmented(lambda t: np.log(float(mu(t)) / tail) * poisson(t))
+    return float(np.log(tail + dev1) - (np.log(tail) + dev2))
+
+
+szego_points = st.sampled_from([1j, 2j, 0.7 + 0.9j]) | st.builds(
+    complex, st.floats(-2.0, 2.0), st.floats(0.3, 3.0))
+
+
+@given(inner=st.floats(0.2, 4.0), half_width=st.floats(0.2, 2.0),
+       z=szego_points)
+def test_szego_step_matches_quad(inner, half_width, z):
+    mu = step_weight(inner, half_width)
+    assert abs(szego_K(mu, z) - quad_szego_K(mu, z)) <= 1e-12
+
+
+@given(amplitude=st.floats(-0.8, 2.0), half_width=st.floats(0.2, 2.0),
+       z=szego_points)
+def test_szego_cosine_bump_matches_quad(amplitude, half_width, z):
+    mu = cosine_bump_weight(amplitude, half_width)
+    assert abs(szego_K(mu, z) - quad_szego_K(mu, z)) <= 1e-12
+
+
+# each quad oracle call on a sinc bump takes most of a second
+@settings(max_examples=6)
+@given(amplitude=st.floats(-0.5, 1.0), scale=st.floats(0.7, 1.5),
+       z=szego_points)
+def test_szego_sinc_bump_matches_quad(amplitude, scale, z):
+    mu = sinc_bump_weight(amplitude, scale)
+    assert abs(szego_K(mu, z) - quad_szego_K(mu, z)) <= 1e-12
