@@ -16,7 +16,7 @@ from canonfactor import (HalfLineFunction, Hamiltonian, f_mu_apply,
 free = Hamiltonian.identity(8.0, 4)
 z, t = 1.7 + 0.2j, 3.0
 print(f"free wave vs e^(izt): "
-      f"{abs(krein_wave(free, t, z).value - np.exp(1j * z * t)):.2e}")
+      f"{abs(krein_wave(free, t, z) - np.exp(1j * z * t)):.2e}")
 
 # Paley-Wiener kernel on [0, r]: integrating e^(izt) against itself
 r, zz, lam = 2.0, 0.9, 0.4

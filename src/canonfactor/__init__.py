@@ -74,7 +74,6 @@ _EXPORTS = {
     "write_halfline": ".halfline",
     # waves and the transform
     "sqrt_psd_2x2": ".transform",
-    "KreinWave": ".transform",
     "krein_wave": ".transform",
     "wave_amplitudes": ".transform",
     "reproducing_kernel": ".transform",

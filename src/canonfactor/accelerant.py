@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedFeatureError, ValidationError
 from .measures import SpectralMeasure
+from .quadrature import gauss_legendre
 
 
 def truncate_weight(mu, j):
@@ -84,12 +85,9 @@ def _numeric_kernel(mu, times):
     edges = np.unique(np.concatenate([
         np.linspace(0.0, X, n_panels + 1),
         [b for b in np.abs(mu.breakpoints) if 0 < b < X]]))
-    xg, wg = np.polynomial.legendre.leggauss(8)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-    wq = (half[:, None] * wg[None, :]).ravel()
-    dev = (np.asarray(mu(nodes), dtype=float) - 1.0) * wq
+    nodes, wq = gauss_legendre(8, edges[:-1], edges[1:])
+    nodes = nodes.ravel()
+    dev = (np.asarray(mu(nodes), dtype=float) - 1.0) * wq.ravel()
     # all sample times at once: values[m] = (1/pi) sum dev * cos(x * t_m)
     return (np.cos(np.outer(times, nodes)) @ dev) / np.pi
 

@@ -23,6 +23,7 @@ from .hamiltonian import Hamiltonian, random_unimodular
 from .inverse import _toeplitz_column, inverse_spectral
 from .measures import (SpectralMeasure, constant_weight, cosine_bump_weight,
                        sinc_bump_weight, step_weight)
+from .quadrature import gauss_legendre
 from .solver import transfer_matrix
 from .transform import isometry_residual, krein_wave, reproducing_kernel
 from .weyl import boundary_values, spectral_density, szego_K, weyl_sweep
@@ -172,24 +173,23 @@ def criterion_4(ctx):
                            f"{ratio:.2f} (>= 1.5)")
 
 
-def _kernel_gram(ham, r, zs, n_gl=10):
-    """(1/2pi) int_0^r conj(P_t(lam)) P_t(z) dt on a GL grid, all pairs."""
+def _kernel_gram(ham, r, zs):
+    """(1/2pi) int_0^r conj(P_t(lam)) P_t(z) dt on a GL grid, all pairs.
+
+    Each wave cell below r is cut into nsub equal panels, enough to
+    resolve the fastest e^{i(z - conj lam)t}, with an order-10 rule each.
+    """
     wave_nodes = 2.0 * ham.grid.nodes
     edges = np.unique(np.concatenate([wave_nodes[wave_nodes < r], [0.0, r]]))
     om = max(abs(complex(a) - np.conj(complex(b))) for a in zs for b in zs)
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    ts, wq = [], []
-    for u, v in zip(edges[:-1], edges[1:]):
-        nsub = max(1, int(np.ceil((v - u) * max(om, 1e-9) / 2.0)))
-        for s in range(nsub):
-            a = u + (v - u) * s / nsub
-            b = u + (v - u) * (s + 1) / nsub
-            ts.append(0.5 * (a + b) + 0.5 * (b - a) * xg)
-            wq.append(0.5 * (b - a) * wg)
-    ts = np.concatenate(ts)
-    wq = np.concatenate(wq)
-    P = np.array([[krein_wave(ham, t, z).value for z in zs] for t in ts])
-    return (P * wq[:, None]).T @ np.conj(P) / (2.0 * np.pi)
+    nsub = np.maximum(
+        1, np.ceil(np.diff(edges) * max(om, 1e-9) / 2.0).astype(int))
+    u, v, n = (np.repeat(e, nsub) for e in (edges[:-1], edges[1:], nsub))
+    s = np.arange(n.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    ts, wq = gauss_legendre(10, u + (v - u) * s / n,
+                            u + (v - u) * (s + 1) / n)
+    P = np.array([[krein_wave(ham, t, z) for z in zs] for t in ts.ravel()])
+    return (P * wq.reshape(-1, 1)).T @ np.conj(P) / (2.0 * np.pi)
 
 
 def criterion_5(ctx):

@@ -4,10 +4,11 @@ Deliberately import-light at module level: thread caps from
 CANON_FACTOR_THREADS must land in the environment before numpy/BLAS
 initialize, so all numeric imports happen inside the handlers.
 
-Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems,
-3 domain errors from the modules, 4 convergence errors.  Failures print
-a single machine-parsable line ``canonfactor: error kind=... detail=...``
-on stderr.
+Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
+(including any path that cannot be read or written), 3 domain errors
+from the modules, 4 convergence errors.  Failures print a single
+machine-parsable line ``canonfactor: error kind=... detail=...`` on
+stderr.
 """
 
 import argparse
@@ -402,10 +403,10 @@ def main(argv=None):
     out = _Out(getattr(args, "out", "-"))
     try:
         code = _HANDLERS[args.command](args, out)
-    except ConfigError as exc:
-        print(f"canonfactor: error kind=config detail={exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        out.close()
+    except (ConfigError, OSError) as exc:
+        # OSError: an input that cannot be read or an output that cannot
+        # be written, such as a directory or a missing parent directory
         print(f"canonfactor: error kind=config detail={exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
@@ -415,7 +416,6 @@ def main(argv=None):
         print(f"canonfactor: error kind=convergence detail={exc}",
               file=sys.stderr)
         return 4
-    out.close()
     return code
 
 

@@ -20,8 +20,9 @@ from scipy.linalg import toeplitz
 
 from .accelerant import accelerant_from_weight
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .hamiltonian import _read_rows
 from .inverse import _toeplitz_column, inverse_spectral
+from .quadrature import gauss_legendre
+from .tables import read_table, write_table
 from .transform import wave_amplitudes
 
 
@@ -118,21 +119,17 @@ class FactorReport:
         return "\n".join(lines)
 
 
-def _factor_quadrature(X, n_nodes_target, breakpoints, gl_order=16):
-    """GL panel nodes/weights on [0, X], honoring interior breakpoints."""
-    n_panels = max(int(np.ceil(n_nodes_target / gl_order)), 4)
+def _factor_quadrature(X, n, breakpoints):
+    """Order-16 GL nodes/weights on max(n, 4) panels of [0, X] (16 nodes
+    per discrete time), the panels also cut at interior breakpoints."""
     edges = np.unique(np.concatenate([
-        np.linspace(0.0, X, n_panels + 1),
+        np.linspace(0.0, X, max(n, 4) + 1),
         [p for p in breakpoints if 0.0 < p < X]]))
-    xg, wg = np.polynomial.legendre.leggauss(gl_order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-    wq = (half[:, None] * wg[None, :]).ravel()
-    return nodes, wq
+    nodes, wq = gauss_legendre(16, edges[:-1], edges[1:])
+    return nodes.ravel(), wq.ravel()
 
 
-def factor_via_transform(mu, R, n, oversample=16):
+def factor_via_transform(mu, R, n):
     """Upper triangular factor A with A^T A ~= the discrete matrix.
 
     Recovers the Hamiltonian of mu on [0, R/2] (n cells, so wave cells
@@ -157,7 +154,7 @@ def factor_via_transform(mu, R, n, oversample=16):
 
     ham = inverse_spectral(mu, R / 2.0, n)
     X = np.pi / h
-    nodes, wq = _factor_quadrature(X, oversample * n, mu.breakpoints)
+    nodes, wq = _factor_quadrature(X, n, mu.breakpoints)
     alphas, wave_nodes = wave_amplitudes(ham, nodes)   # (n, Q)
     t = h * np.arange(n)
     dens = np.asarray(mu(nodes), dtype=float)
@@ -187,30 +184,16 @@ def factor_via_transform(mu, R, n, oversample=16):
 
 
 def write_matrix(A, path):
-    """Write a dense matrix as `#matrix v1` text (one row per line).
-
-    Non-finite entries raise ValidationError before the file is opened,
-    since ``read_matrix`` would reject them.
-    """
+    """Write a dense matrix as `#matrix v1 <rows> <cols>` text, one row per
+    line.  Non-finite entries raise ValidationError before the file is
+    opened."""
     A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValidationError(f"{path}: matrix has non-finite entries")
-    with open(path, "w") as fh:
-        fh.write(f"#matrix v1 {A.shape[0]} {A.shape[1]}\n")
-        for row in A:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+    write_table(path, f"#matrix v1 {A.shape[0]} {A.shape[1]}", A)
 
 
 def read_matrix(path):
     """Read a `#matrix v1` file back into an ndarray."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    header = raw[0].split() if raw else []
-    if (len(header) != 4 or header[:2] != ["#matrix", "v1"]
-            or not all(f.isdigit() for f in header[2:])):
-        raise ValidationError(
-            f"{path}: missing '#matrix v1 <rows> <cols>' header")
-    A = _read_rows(path, raw[1:], int(header[3]))
-    if A.shape[0] != int(header[2]):
+    shape, A = read_table(path, "#matrix v1", 2, None)
+    if A.shape != shape:
         raise ValidationError(f"{path}: shape mismatch with header")
     return A

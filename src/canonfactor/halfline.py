@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedFeatureError, ValidationError
-from .hamiltonian import Grid, _read_rows
+from .hamiltonian import Grid
+from .tables import read_table, write_table
 
 
 class HalfLineFunction:
@@ -371,19 +372,13 @@ _HALFLINE_HEADER = "#halfline v1"
 
 
 def write_halfline(f, path):
-    lines = [_HALFLINE_HEADER]
-    for a, b, v in zip(f.grid.nodes[:-1], f.grid.nodes[1:], f.values):
-        lines.append(f"{repr(float(a))} {repr(float(b))} {repr(float(v))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    nodes = f.grid.nodes
+    write_table(path, _HALFLINE_HEADER,
+                np.column_stack([nodes[:-1], nodes[1:], f.values]))
 
 
 def read_halfline(path, tail=None):
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or raw[0] != _HALFLINE_HEADER:
-        raise ValidationError(f"{path}: missing '{_HALFLINE_HEADER}' header")
-    rows = _read_rows(path, raw[1:], 3)
+    _, rows = read_table(path, _HALFLINE_HEADER, 0, 3)
     if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
         raise ValidationError(f"{path}: rows do not tile the half line")
     nodes = np.append(rows[:, 0], rows[-1, 1])

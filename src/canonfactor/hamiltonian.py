@@ -14,6 +14,7 @@ derived consistently with this choice.
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .tables import read_table, write_table
 
 # Fixed sign convention; J^2 = -I, J^{-1} = -J = J^T.
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -160,18 +161,8 @@ class Hamiltonian:
                            unimodular=self.unimodular)
 
     def sqrt_cells(self):
-        """Per-cell symmetric PSD square roots, shape (K, 2, 2).
-
-        Closed form: sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A));
-        zero cells give zero.
-        """
-        c = self.cells
-        s = np.sqrt(np.maximum(self.dets, 0.0))
-        denom = c[:, 0, 0] + c[:, 1, 1] + 2.0 * s
-        root = np.sqrt(np.where(denom > 0, denom, 1.0))
-        out = (c + s[:, None, None] * np.eye(2)) / root[:, None, None]
-        out[denom <= 0] = 0.0
-        return out
+        """Per-cell symmetric PSD square roots, shape (K, 2, 2)."""
+        return sqrt_psd_cells(self.cells)
 
     def __eq__(self, other):
         return (isinstance(other, Hamiltonian)
@@ -182,6 +173,21 @@ class Hamiltonian:
     def __repr__(self):
         tag = "unimodular, " if self.unimodular else ""
         return f"Hamiltonian({tag}{self.grid.n_cells} cells on [0, {self.grid.span:g}])"
+
+
+def sqrt_psd_cells(c):
+    """Square roots of the PSD 2x2 matrices c of shape (K, 2, 2).
+
+    Closed form: sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A));
+    zero matrices give zero.  The input is not checked.
+    """
+    s = np.sqrt(np.maximum(
+        c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0], 0.0))
+    denom = c[:, 0, 0] + c[:, 1, 1] + 2.0 * s
+    root = np.sqrt(np.where(denom > 0, denom, 1.0))
+    out = (c + s[:, None, None] * np.eye(2)) / root[:, None, None]
+    out[denom <= 0] = 0.0
+    return out
 
 
 def random_unimodular(rng, n_cells, span):
@@ -242,43 +248,15 @@ def validate(ham):
 _HAM_HEADER = "#canon-hamiltonian v1"
 
 
-def _fmt(x):
-    # shortest decimal string that round-trips the float64 exactly
-    return repr(float(x))
-
-
-def _read_rows(path, lines, ncols):
-    """Data lines of a table file as a finite float array (rows, ncols)."""
-    for ln in lines:
-        if len(ln.split()) != ncols:
-            raise ValidationError(
-                f"{path}: expected {ncols} columns, got {ln!r}")
-    try:
-        rows = np.array([ln.split() for ln in lines], dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}")
-    if not lines or not np.all(np.isfinite(rows)):
-        raise ValidationError(f"{path}: no data rows or a non-finite field")
-    return rows
-
-
 def write_hamiltonian(ham, path):
-    lines = [_HAM_HEADER]
     n = ham.grid.nodes
-    for k in range(ham.grid.n_cells):
-        c = ham.cells[k]
-        lines.append(" ".join(_fmt(v) for v in
-                              (n[k], n[k + 1], c[0, 0], c[0, 1], c[1, 1])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    c = ham.cells
+    write_table(path, _HAM_HEADER, np.column_stack(
+        [n[:-1], n[1:], c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]]))
 
 
 def read_hamiltonian(path, unimodular=None):
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or raw[0] != _HAM_HEADER:
-        raise ValidationError(f"{path}: missing '{_HAM_HEADER}' header")
-    rows = _read_rows(path, raw[1:], 5)
+    _, rows = read_table(path, _HAM_HEADER, 0, 5)
     if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
         raise ValidationError(f"{path}: cell intervals do not tile the grid")
     nodes = np.append(rows[:, 0], rows[-1, 1])

@@ -18,13 +18,8 @@ exactly when w - 1 is integrable.
 import numpy as np
 
 from .errors import DomainError, UnsupportedFeatureError, ValidationError
-from .hamiltonian import _read_rows
-
-
-def _sinc(u):
-    """sin(u)/u with the removable singularity filled in."""
-    u = np.asarray(u, dtype=float)
-    return np.sinc(u / np.pi)
+from .solver import sinch
+from .tables import read_table, write_table
 
 
 class SpectralMeasure:
@@ -125,7 +120,7 @@ def step_weight(inner=2.0, half_width=1.0, outer=1.0):
                         breakpoints=(-a, a))
     if outer == 1.0:
         amp = inner - 1.0
-        m._accel = lambda t: amp * a / np.pi * _sinc(a * np.asarray(t, float))
+        m._accel = lambda t: amp * a / np.pi * sinch(a * np.asarray(t, float))
     return m
 
 
@@ -145,7 +140,7 @@ def cosine_bump_weight(amplitude=1.0, half_width=1.0):
     # cos^2 = (1 + cos(bx))/2 so every singularity is a removable sinc one
     def accel(t):
         t = np.asarray(t, dtype=float)
-        s = _sinc(a * t) + 0.5 * (_sinc(a * (b - t)) + _sinc(a * (b + t)))
+        s = sinch(a * t) + 0.5 * (sinch(a * (b - t)) + sinch(a * (b + t)))
         return (A * a / (2 * np.pi)) * s
 
     m = SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
@@ -163,7 +158,7 @@ def sinc_bump_weight(amplitude=0.5, scale=1.0):
         raise DomainError("scale must be positive")
 
     def dens(x):
-        return 1.0 + A * _sinc(B * np.asarray(x, float)) ** 2
+        return 1.0 + A * sinch(B * np.asarray(x, float)) ** 2
 
     def accel(t):
         t = np.asarray(t, dtype=float)
@@ -232,19 +227,15 @@ _WEIGHT_HEADER = "#weight v1"
 
 
 def write_weight(measure, path, x):
-    """Sample the density on abscissae x and write the tabular format."""
+    """Sample the density on abscissae x and write the tabular format.
+
+    A non-finite sample raises ValidationError before the file is opened.
+    """
     x = np.asarray(x, dtype=float)
-    w = measure(x)
-    lines = [_WEIGHT_HEADER]
-    lines += [f"{repr(float(a))} {repr(float(b))}" for a, b in zip(x, w)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, _WEIGHT_HEADER, np.column_stack([x, measure(x)]))
 
 
 def read_weight(path, tail=1.0):
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or raw[0] != _WEIGHT_HEADER:
-        raise ValidationError(f"{path}: missing '{_WEIGHT_HEADER}' header")
-    xs, ws = _read_rows(path, raw[1:], 2).T
+    _, rows = read_table(path, _WEIGHT_HEADER, 0, 2)
+    xs, ws = rows.T
     return sampled_weight(xs, ws, tail=tail)

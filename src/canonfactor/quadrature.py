@@ -1,5 +1,11 @@
-"""Adaptive Gauss-Kronrod quadrature over many intervals at once.
+"""The package's two quadrature rules.
 
+``gauss_legendre``: order-p Gauss-Legendre on many panels at once, exact
+per panel on polynomials of degree 2p - 1.  Every fixed panel rule in
+the package (accelerant, factor pairing, isometry window, kernel Gram
+matrix, energy identity) is built from it.
+
+``gauss_kronrod``: adaptive integration over many intervals at once.
 One G10/K21 pair (the QUADPACK ``qk21`` rule) with its error estimate,
 applied to every live interval in one array call per round: each round
 evaluates the integrand on all live intervals' 21 nodes together, keeps
@@ -57,6 +63,24 @@ WEIGHTS_G = _mirror(_WG)
 _EPS = np.finfo(float).eps
 _MIN_WIDTH = 1e-12
 _MAX_LIVE = 20000        # live intervals: a round's arrays stay at tens of MB
+
+
+_GL_CACHE = {}
+
+
+def gauss_legendre(order, a, b):
+    """Gauss-Legendre nodes and weights of the given order on [a, b].
+
+    a and b may be arrays of panels; the nodes then run along a new
+    trailing axis, so panels (n,) give nodes and weights of shape
+    (n, order).  The reference rule is cached per order.
+    """
+    if order not in _GL_CACHE:
+        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
+    x, w = _GL_CACHE[order]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = 0.5 * (a + b)[..., None], 0.5 * (b - a)[..., None]
+    return mid + half * x, half * w
 
 
 def _qk21(f, a, b):

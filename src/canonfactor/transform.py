@@ -17,15 +17,16 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import DomainError, ValidationError
-from .hamiltonian import J
+from .hamiltonian import J, sqrt_psd_cells
+from .quadrature import gauss_legendre
 from .solver import _sweep, sinch, transfer_matrix
 
 
 def sqrt_psd_2x2(A):
     """Unique PSD square root of a symmetric PSD 2x2 matrix.
 
-    Closed form (A + sqrt(det) I)/sqrt(tr + 2 sqrt(det)); the zero matrix
-    returns zero.
+    Checks symmetry and semidefiniteness, then takes the closed form of
+    ``sqrt_psd_cells``; the zero matrix returns zero.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
@@ -34,14 +35,9 @@ def sqrt_psd_2x2(A):
     if abs(A[0, 1] - A[1, 0]) > 1e-12 * scale:
         raise DomainError("matrix is not symmetric")
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    tr = A[0, 0] + A[1, 1]
     if min(A[0, 0], A[1, 1]) < -1e-12 * scale or det < -1e-12 * scale ** 2:
         raise DomainError("matrix is not positive semidefinite")
-    s = np.sqrt(max(det, 0.0))
-    denom = tr + 2.0 * s
-    if denom <= 0.0:
-        return np.zeros((2, 2))
-    return (A + s * np.eye(2)) / np.sqrt(denom)
+    return sqrt_psd_cells(A[None])[0]
 
 
 def _exp_segment(z, u, v):
@@ -88,22 +84,9 @@ def wave_amplitudes(ham, z, t_max=None):
     return alphas.reshape((k_use,) + z.shape), 2.0 * nodes[:k_use + 1]
 
 
-class KreinWave:
-    """Wave sample: value P_t(z) and the components it came from."""
-
-    def __init__(self, t, z, psi_plus, psi_minus, value):
-        self.t = t
-        self.z = z
-        self.psi_plus = psi_plus
-        self.psi_minus = psi_minus
-        self.value = value
-
-    def __repr__(self):
-        return f"KreinWave(t={self.t:g}, z={self.z:g}, value={self.value:g})"
-
-
 def krein_wave(ham, t, z):
-    """P_t(z) = e^{i(t/2)z} (Psi+ - i Psi-) with Psi = sqrt(H) Theta(t/2)."""
+    """The complex wave value P_t(z) = e^{i(t/2)z} (Psi+ - i Psi-), with
+    Psi = sqrt(H) Theta(t/2)."""
     if not ham.unimodular:
         raise DomainError("waves need a unimodular Hamiltonian")
     t = float(t)
@@ -115,8 +98,7 @@ def krein_wave(ham, t, z):
     cell = ham.grid.cell_index(min(tau, ham.grid.span * (1.0 - 1e-15)))
     S = sqrt_psd_2x2(ham.cells[cell])
     psi = S @ theta
-    value = np.exp(1j * z * tau) * (psi[0] - 1j * psi[1])
-    return KreinWave(t, z, complex(psi[0]), complex(psi[1]), complex(value))
+    return complex(np.exp(1j * z * tau) * (psi[0] - 1j * psi[1]))
 
 
 def _j_pair(theta_z, theta_lam):
@@ -220,10 +202,10 @@ def _plancherel_tail(f, X, w_tail):
     return w_tail * total / (2.0 * np.pi)
 
 
-def isometry_residual(ham, mu, f, X=1e3, n_gl=8):
+def isometry_residual(ham, mu, f, X=1e3):
     """| ||F f||^2_{L2(mu), truncated at X} + tail - ||f||^2_{L2} |.
 
-    The window integral is Gauss-Legendre on panels resolving the
+    The window integral is order-8 Gauss-Legendre on panels resolving the
     oscillation of |F f|^2; the tail beyond X is exact (via Si) when the
     Hamiltonian is the identity on the support of f and w has an exact
     constant tail inside X, else it is estimated from the asymptotic
@@ -241,15 +223,12 @@ def isometry_residual(ham, mu, f, X=1e3, n_gl=8):
     edges = np.unique(np.concatenate([
         np.linspace(-X, X, n_panels + 1),
         [p for p in mu.breakpoints if -X < p < X], [0.0]]))
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-    wq = (half[:, None] * wg[None, :]).ravel()
+    nodes, wq = gauss_legendre(8, edges[:-1], edges[1:])
+    nodes = nodes.ravel()
 
     F = f_mu_apply(ham, f, nodes)
     dens = np.asarray(mu(nodes), dtype=float)
-    window = float(np.sum(wq * np.abs(F) ** 2 * dens))
+    window = float(np.sum(wq.ravel() * np.abs(F) ** 2 * dens))
 
     k_use = int(np.searchsorted(ham.grid.nodes[:-1], r / 2.0, side="left"))
     ident = np.allclose(ham.cells[:max(k_use, 1)],

@@ -142,6 +142,39 @@ def test_exit_code_2_missing_file():
     assert proc.returncode == 2
 
 
+def _single_config_error(proc):
+    lines = proc.stderr.strip().splitlines()
+    return (proc.returncode == 2 and len(lines) == 1
+            and lines[0].startswith("canonfactor: error kind=config"))
+
+
+def test_exit_code_2_directory_as_input(tmp_path):
+    proc = run_cli("forward", "--hamiltonian", str(tmp_path))
+    assert _single_config_error(proc)
+
+
+def test_exit_code_2_directory_as_output(tmp_path):
+    proc = run_cli("invert", "--weight", "sinc-bump:amplitude=0.5,scale=1",
+                   "--span", "2", "--cells", "8",
+                   "--out-hamiltonian", str(tmp_path))
+    assert _single_config_error(proc)
+
+
+def test_exit_code_2_unwritable_out(tmp_path):
+    # the report is written after the work, by the same error handling
+    proc = run_cli("szego", "--weight", "constant:c=2",
+                   "--out", str(tmp_path / "missing" / "x.txt"))
+    assert _single_config_error(proc)
+
+
+def test_exit_code_3_non_utf8_table(tmp_path):
+    hfile = tmp_path / "h.txt"
+    hfile.write_bytes(b"#canon-hamiltonian v1\n" + bytes(range(128, 256)))
+    proc = run_cli("forward", "--hamiltonian", str(hfile))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("canonfactor: error kind=domain")
+
+
 def test_exit_code_3_domain_error():
     # szego needs Im z > 0 <=> y > 0
     proc = run_cli("szego", "--weight", "constant:c=1", "--y", "-1")

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from canonfactor import (SpectralPositivityError, ValidationError,
-                         build_toeplitz, chain_preservation_check,
-                         cholesky_oracle, constant_weight,
-                         factor_via_transform, read_matrix, sinc_bump_weight,
-                         step_weight, write_matrix)
+from canonfactor import (SpectralMeasure, SpectralPositivityError,
+                         ValidationError, build_toeplitz,
+                         chain_preservation_check, cholesky_oracle,
+                         constant_weight, factor_via_transform, read_matrix,
+                         sinc_bump_weight, step_weight, write_matrix,
+                         write_weight)
 
 
 def test_build_toeplitz_constant():
@@ -120,9 +121,25 @@ def test_read_matrix_malformed(tmp_path, text):
         read_matrix(path)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_write_matrix_rejects_nonfinite(tmp_path, bad):
+def _write_matrix_with(bad, path):
+    write_matrix([[1.0, bad], [0.0, 1.0]], path)
+
+
+def _write_weight_with(bad, path):
+    # a measure whose density is non-finite for x > 0
+    mu = SpectralMeasure(lambda x: np.where(x > 0.0, bad, 1.0), 1.0, 1.0)
+    write_weight(mu, path, [-1.0, 0.5, 1.0])
+
+
+_BAD = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("write, bad", [
+    *(pytest.param(_write_matrix_with, b, id=str(b)) for b in _BAD),
+    *(pytest.param(_write_weight_with, b, id=f"weight:{b}")
+      for b in _BAD)])
+def test_write_matrix_rejects_nonfinite(tmp_path, write, bad):
     path = tmp_path / "m.txt"
     with pytest.raises(ValidationError, match="m.txt"):
-        write_matrix([[1.0, bad], [0.0, 1.0]], path)
+        write(bad, path)
     assert not path.exists()

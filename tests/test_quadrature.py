@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from canonfactor import ConvergenceError, DomainError
-from canonfactor.quadrature import NODES, WEIGHTS_G, WEIGHTS_K, gauss_kronrod
+from canonfactor.quadrature import (NODES, WEIGHTS_G, WEIGHTS_K,
+                                    gauss_kronrod, gauss_legendre)
+
+
+def test_gauss_legendre_exact_on_uneven_panels():
+    # the order-p rule integrates every monomial of degree <= 2p - 1
+    # exactly on each panel, whatever the panel widths
+    edges = np.array([-1.0, -0.7, -0.65, 0.1, 0.9, 1.2])
+    a, b = edges[:-1], edges[1:]
+    for p in (1, 2, 3, 8, 10, 16):
+        x, w = gauss_legendre(p, a, b)
+        assert x.shape == w.shape == (a.size, p)
+        for k in range(2 * p):
+            got = np.sum(w * x ** k, axis=1)
+            exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(got - exact)) <= 1e-13, (p, k)
 
 
 def test_rules_are_exact_on_polynomials():

@@ -1,12 +1,59 @@
 """Transfer-matrix solver against closed forms and structural properties."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from canonfactor import (DomainError, Hamiltonian, J, inverse_spectral,
                          j_energy_residual, node_thetas, random_unimodular,
                          sinc_bump_weight, transfer_matrix)
-from canonfactor.solver import _restore, _sweep
+from canonfactor.solver import _restore, _sweep, sinch
+
+
+def _sin_over_x(x):
+    with mpmath.workdps(50):
+        x = mpmath.mpmathify(x)
+        return mpmath.mpf(1) if x == 0 else mpmath.sin(x) / x
+
+
+_SMALL = st.floats(-1e-4, 1e-4)
+
+
+@given(st.one_of(_SMALL, st.floats(-1e300, 1e300)))
+@example(0.0)
+@example(-0.0)
+@example(9.999999999999999e-05)
+@example(1e-4)
+@example(np.pi)
+def test_sinch_real_within_2_ulp(x):
+    got = sinch(np.array([x]))
+    assert got.dtype == np.float64          # real in, real out
+    exact = _sin_over_x(x)
+    assert abs(mpmath.mpf(float(got[0])) - exact) <= 2 * np.spacing(
+        abs(float(exact)))
+
+
+@given(st.one_of(_SMALL, st.floats(-1e6, 1e6)),
+       st.one_of(_SMALL, st.floats(-700.0, 700.0)))
+@example(0.0, 0.0)
+@example(3e-5, -7e-5)
+def test_sinch_complex_against_mpmath(re, im):
+    # complex sin followed by a complex division: componentwise errors
+    # reach ~2.6 eps |sin(x)/x| (seen on random draws), so the bound is
+    # 3 eps relative to the modulus
+    z = complex(re, im)
+    got = sinch(np.array([z]))
+    assert got.dtype == np.complex128
+    exact = _sin_over_x(z)
+    err = abs(mpmath.mpc(complex(got[0])) - exact)
+    assert err <= 3 * np.finfo(float).eps * abs(exact)
+
+
+def test_sinch_real_dtypes():
+    for x in (np.arange(3), np.float32([0.5, 2.0]), 0.25):
+        assert sinch(x).dtype == np.float64
 
 
 def test_free_system_is_rotation():
