@@ -30,12 +30,10 @@ _EXPORTS = {
     # canonical system solver
     "TransferMatrix": ".solver",
     "transfer_matrix": ".solver",
-    "node_thetas": ".solver",
     "j_energy_residual": ".solver",
     # Weyl theory and boundary values
     "weyl_sweep": ".weyl",
     "weyl_function": ".weyl",
-    "herglotz_b_residual": ".weyl",
     "boundary_values": ".weyl",
     "spectral_density": ".weyl",
     "szego_K": ".weyl",
@@ -73,12 +71,10 @@ _EXPORTS = {
     "read_halfline": ".halfline",
     "write_halfline": ".halfline",
     # waves and the transform
-    "sqrt_psd_2x2": ".transform",
     "krein_wave": ".transform",
     "wave_amplitudes": ".transform",
     "reproducing_kernel": ".transform",
     "f_mu_apply": ".transform",
-    "wave_norm_sq": ".transform",
     "isometry_residual": ".transform",
     # factorization
     "DiscreteWienerHopf": ".factorize",

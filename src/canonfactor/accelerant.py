@@ -3,7 +3,10 @@
 k(t) = (1/2pi) int (w(x) - 1) e^{-ixt} dx, so w - 1 must be integrable;
 weights with tail != 1 go through truncate_weight first.  All desk
 weights are even, making k real and even; odd weights are rejected
-rather than half-supported.
+rather than half-supported.  An Accelerant evaluates the weight's
+closed form where it has one, which also carries any band limit (the
+sinc bump's hat vanishes beyond 2B), and interpolates its samples
+otherwise.
 """
 
 import numpy as np
@@ -34,9 +37,9 @@ def truncate_weight(mu, j):
 
 
 class Accelerant:
-    """Sampled kernel on [0, R] plus optional closed form and band limit."""
+    """Sampled kernel on [0, R] plus an optional closed form."""
 
-    def __init__(self, times, values, closed_form=None, band_limit=None):
+    def __init__(self, times, values, closed_form=None):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
@@ -46,20 +49,12 @@ class Accelerant:
         self.times = times
         self.values = values
         self.closed_form = closed_form
-        self.band_limit = band_limit
-
-    @property
-    def radius(self):
-        return float(self.times[-1])
 
     def __call__(self, t):
         """k(t), even in t; closed form when known, else interpolation."""
         t = np.abs(np.asarray(t, dtype=float))
         if self.closed_form is not None:
             return np.asarray(self.closed_form(t), dtype=float)
-        if self.band_limit is not None:
-            inside = np.interp(t, self.times, self.values)
-            return np.where(t > self.band_limit, 0.0, inside)
         return np.interp(t, self.times, self.values)
 
 
@@ -108,6 +103,6 @@ def accelerant_from_weight(mu, R, M):
     closed = mu.closed_form_accelerant()
     if closed is not None:
         return Accelerant(times, np.asarray(closed(times), dtype=float),
-                          closed_form=closed, band_limit=mu._accel_band)
+                          closed_form=closed)
     _check_even(mu)
     return Accelerant(times, _numeric_kernel(mu, times))

@@ -12,21 +12,20 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .accelerant import accelerant_from_weight
 from .errors import DomainError
-from .factorize import chain_preservation_check, factor_via_transform
+from .factorize import (build_toeplitz, chain_preservation_check,
+                        factor_via_transform)
 from .halfline import (HalfLineFunction, a2_classical, a2_ell1,
                        decompose_L1_L2, norm_L1, norm_L1_plus_L2, norm_L2)
 from .hamiltonian import Hamiltonian, random_unimodular
-from .inverse import _toeplitz_column, inverse_spectral
+from .inverse import inverse_spectral
 from .measures import (SpectralMeasure, constant_weight, cosine_bump_weight,
                        sinc_bump_weight, step_weight)
 from .quadrature import gauss_legendre
 from .solver import transfer_matrix
-from .transform import isometry_residual, krein_wave, reproducing_kernel
-from .weyl import boundary_values, spectral_density, szego_K, weyl_sweep
+from .transform import isometry_residual, reproducing_kernel, wave_amplitudes
+from .weyl import spectral_density, szego_K, weyl_sweep
 
 
 @dataclass
@@ -177,7 +176,8 @@ def _kernel_gram(ham, r, zs):
     """(1/2pi) int_0^r conj(P_t(lam)) P_t(z) dt on a GL grid, all pairs.
 
     Each wave cell below r is cut into nsub equal panels, enough to
-    resolve the fastest e^{i(z - conj lam)t}, with an order-10 rule each.
+    resolve the fastest e^{i(z - conj lam)t}, with an order-10 rule each;
+    P_t(z) = alpha_c(z) e^{izt} at every node t from one amplitude sweep.
     """
     wave_nodes = 2.0 * ham.grid.nodes
     edges = np.unique(np.concatenate([wave_nodes[wave_nodes < r], [0.0, r]]))
@@ -188,7 +188,10 @@ def _kernel_gram(ham, r, zs):
     s = np.arange(n.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
     ts, wq = gauss_legendre(10, u + (v - u) * s / n,
                             u + (v - u) * (s + 1) / n)
-    P = np.array([[krein_wave(ham, t, z) for z in zs] for t in ts.ravel()])
+    ts = ts.ravel()
+    alphas, wave_nodes = wave_amplitudes(ham, np.asarray(zs), t_max=r)
+    cells = np.searchsorted(wave_nodes, ts, side="right") - 1
+    P = alphas[cells] * np.exp(1j * np.outer(ts, zs))
     return (P * wq.reshape(-1, 1)).T @ np.conj(P) / (2.0 * np.pi)
 
 
@@ -340,12 +343,7 @@ def criterion_10(ctx):
 
 def criterion_11(ctx):
     mu = step_weight(inner=0.0, half_width=0.5)
-    h = 0.05
-    kern = accelerant_from_weight(mu, 512 * h, 1024)
-    mins = []
-    for n in (128, 256, 512):
-        eigs = np.linalg.eigvalsh(toeplitz(_toeplitz_column(kern, h, n)))
-        mins.append(float(eigs[0]))
+    mins = [build_toeplitz(mu, n, 0.05).min_eig for n in (128, 256, 512)]
     decreasing = mins[0] > mins[1] > mins[2] > 0
     ok = decreasing and mins[2] <= 0.5 * mins[0]
     return CriterionResult(11, NAMES[11], ok,

@@ -6,7 +6,8 @@ initialize, so all numeric imports happen inside the handlers.
 
 Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
 (including any path that cannot be read or written), 3 domain errors
-from the modules, 4 convergence errors.  Failures print a single
+from the modules and any other exception (kind=internal), 4
+convergence errors.  Failures print a single
 machine-parsable line ``canonfactor: error kind=... detail=...`` on
 stderr.
 """
@@ -245,13 +246,15 @@ def _cmd_forward(args, out):
                 cells = " ".join(_fmtc(M[i, j]) for i in (0, 1) for j in (0, 1))
                 out.write(f"{_fmt(t)} {_fmtc(z)} {cells}")
     if args.density_grid:
+        import numpy as np
         from .weyl import spectral_density
         try:
             a, b, n = args.density_grid.split(":")
             a, b, n = float(a), float(b), int(n)
+            if not (np.isfinite([a, b]).all() and n >= 1):
+                raise ValueError("need finite a, b and an integer n >= 1")
         except ValueError as exc:
             raise ConfigError(f"bad density grid {args.density_grid!r}: {exc}")
-        import numpy as np
         xs = np.linspace(a, b, n)
         dens = spectral_density(ham, xs, eps=args.eps)
         out.write("# x density")
@@ -416,6 +419,12 @@ def main(argv=None):
         print(f"canonfactor: error kind=convergence detail={exc}",
               file=sys.stderr)
         return 4
+    except Exception as exc:
+        # an untyped error is a defect, never a failed verification (1)
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"canonfactor: error kind=internal detail={detail}",
+              file=sys.stderr)
+        return 3
     return code
 
 

@@ -216,19 +216,25 @@ class ValidationReport:
 
 
 def validate(ham):
-    """Check symmetry, PSD-ness and (if declared) unimodularity per cell.
+    """Check finiteness, symmetry, PSD-ness and (if declared)
+    unimodularity per cell; a determinant that overflows is rejected.
 
     Returns a ValidationReport rather than raising, so callers can decide.
     """
     issues = []
     c = ham.cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
     if not np.all(np.isfinite(c)):
         issues.append("cells must be finite")
+    elif not np.all(np.isfinite(dets)):
+        # inf - inf = nan would pass every sign check below
+        bad = int(np.argmin(np.isfinite(dets)))
+        issues.append(f"cell {bad} has a determinant beyond double range")
     if not np.allclose(c[:, 0, 1], c[:, 1, 0], rtol=0, atol=0):
         issues.append("cells must be exactly symmetric")
     if np.any(c[:, 0, 0] < -PSD_TOL) or np.any(c[:, 1, 1] < -PSD_TOL):
         issues.append("negative diagonal entry (not PSD)")
-    dets = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
     if np.any(dets < -PSD_TOL):
         bad = int(np.argmin(dets))
         issues.append(f"cell {bad} has det = {dets[bad]:.3g} < 0 (not PSD)")

@@ -158,7 +158,8 @@ def _certified_min(col, theta, res):
         return _levinson(shifted)[0]
 
     hi = theta
-    step = max(res, 0.5 * _EIG_RTOL * abs(theta))
+    # the floor keeps the downward search moving from theta = res = 0
+    step = max(res, 0.5 * _EIG_RTOL * abs(theta), np.finfo(float).tiny)
     lo = hi - step
     while not definite(lo):
         hi, step = lo, 4.0 * step

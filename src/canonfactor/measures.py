@@ -57,7 +57,6 @@ class SpectralMeasure:
         self.params = dict(params or {})
         self.breakpoints = [float(b) for b in breakpoints]  # kinks of w
         self._accel = None       # optional closed-form accelerant callable
-        self._accel_band = None  # support radius of k when finite
 
     def __call__(self, x):
         return np.asarray(self._density(np.asarray(x, dtype=float)))
@@ -169,7 +168,6 @@ def sinc_bump_weight(amplitude=0.5, scale=1.0):
                         tail_bound=lambda X: abs(A) / (B * X) ** 2,
                         label="sinc-bump", params={"amplitude": A, "scale": B})
     m._accel = accel
-    m._accel_band = 2 * B   # k vanishes beyond this
     return m
 
 

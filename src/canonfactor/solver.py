@@ -11,10 +11,10 @@ valid for every complex z including the degenerate cells det C = 0.  All
 entries of M(t, z) are entire functions of z, and det M(t, z) = 1 because
 tr G = 0.
 
-Everything built from M (transfer matrices, Theta at the nodes, Weyl
-disks, wave amplitudes, the energy identity) comes from one sweep,
-``_sweep``, which multiplies the propagators of ``_propagators``, built a
-block of cells at a time, left to right.  A cell whose growth
+Everything built from M (transfer matrices, Weyl disks, wave
+amplitudes, the energy identity) comes from one sweep, ``_sweep``,
+which multiplies the propagators of ``_propagators``, built a block of
+cells at a time, left to right.  A cell whose growth
 |Im z| * width * d exceeds ``_MAX_GROWTH`` is cut into equal substeps.
 After every step the state of each z is divided by a power of two
 (frexp/ldexp), which is exact: wherever the unscaled product is finite
@@ -155,25 +155,6 @@ def transfer_matrix(ham, t, z):
         pass
     M = np.moveaxis(_restore(state, scale, t, z), -1, 0)
     return TransferMatrix(t, z, M.reshape(z.shape + (2, 2)))
-
-
-def node_thetas(ham, z):
-    """First-column solutions Theta(t_k, z) at every grid node.
-
-    Returns (thetas, logscale): thetas has shape (K+1,) + z.shape + (2,),
-    each row rescaled by a power of two to largest modulus in [1/2, 1],
-    and Theta(t_k, z) = thetas[k] * exp(logscale[k]).  Scale-invariant
-    quantities (Weyl ratios, disk radii) can be read off the rows directly.
-    """
-    z = np.asarray(z, dtype=complex)
-    rows = ham.grid.n_cells + 1
-    thetas = np.empty((rows, z.size, 2), dtype=complex)
-    scales = np.empty((rows, z.size), dtype=np.int64)
-    for k, state, scale in _sweep(ham, z.reshape(-1), 1):
-        thetas[k] = state[:, 0].T
-        scales[k] = scale
-    return (thetas.reshape((rows,) + z.shape + (2,)),
-            np.log(2.0) * scales.reshape((rows,) + z.shape))
 
 
 def j_energy_residual(ham, r, z):

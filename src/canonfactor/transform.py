@@ -8,36 +8,21 @@ q = (1, -i) sqrt(H_c) is a left eigenvector of J H_c with eigenvalue -i
 
 collapses to a single exponential alpha_c(z) e^{i z t} in wave time
 t = 2 tau, with alpha_c(z) = e^{-i z a_c} q_c Theta(a_c, z) frozen at
-the cell's left node a_c.  All time integrals downstream (transform,
-kernels, isometry, factor columns) use these per-cell amplitudes and
-closed-form exponential integrals.
+the cell's left node a_c.  The pointwise value ``krein_wave`` and all
+time integrals downstream (transform, isometry, factor columns) use
+these per-cell amplitudes and closed-form exponential integrals.  P_t
+jumps at the wave nodes 2 a_c with sqrt(H); ``krein_wave`` is
+right-continuous there.  ``reproducing_kernel`` is the closed form in
+Theta itself, against which the amplitudes are checked.
 """
 
 import numpy as np
 from scipy.special import sici
 
-from .errors import DomainError, ValidationError
-from .hamiltonian import J, sqrt_psd_cells
+from .errors import DomainError
+from .hamiltonian import J
 from .quadrature import gauss_legendre
 from .solver import _sweep, sinch, transfer_matrix
-
-
-def sqrt_psd_2x2(A):
-    """Unique PSD square root of a symmetric PSD 2x2 matrix.
-
-    Checks symmetry and semidefiniteness, then takes the closed form of
-    ``sqrt_psd_cells``; the zero matrix returns zero.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2):
-        raise ValidationError("expected a 2x2 matrix")
-    scale = max(abs(A).max(), 1.0)
-    if abs(A[0, 1] - A[1, 0]) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric")
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if min(A[0, 0], A[1, 1]) < -1e-12 * scale or det < -1e-12 * scale ** 2:
-        raise DomainError("matrix is not positive semidefinite")
-    return sqrt_psd_cells(A[None])[0]
 
 
 def _exp_segment(z, u, v):
@@ -85,20 +70,16 @@ def wave_amplitudes(ham, z, t_max=None):
 
 
 def krein_wave(ham, t, z):
-    """The complex wave value P_t(z) = e^{i(t/2)z} (Psi+ - i Psi-), with
-    Psi = sqrt(H) Theta(t/2)."""
-    if not ham.unimodular:
-        raise DomainError("waves need a unimodular Hamiltonian")
+    """The complex wave value P_t(z) = alpha_c(z) e^{izt} read off
+    ``wave_amplitudes``, c the cell holding t/2: right-continuous at the
+    wave nodes, where sqrt(H) jumps, and the last cell at t = 2 * span."""
     t = float(t)
     if t < 0 or t > 2.0 * ham.grid.span:
         raise DomainError(f"t = {t:g} outside [0, {2 * ham.grid.span:g}]")
     z = complex(z)
-    tau = t / 2.0
-    theta = transfer_matrix(ham, tau, z).theta
-    cell = ham.grid.cell_index(min(tau, ham.grid.span * (1.0 - 1e-15)))
-    S = sqrt_psd_2x2(ham.cells[cell])
-    psi = S @ theta
-    return complex(np.exp(1j * z * tau) * (psi[0] - 1j * psi[1]))
+    c = ham.grid.cell_index(t / 2.0)
+    alphas, _ = wave_amplitudes(ham, z, t_max=2.0 * ham.grid.nodes[c + 1])
+    return complex(alphas[c] * np.exp(1j * z * t))
 
 
 def _j_pair(theta_z, theta_lam):
@@ -161,20 +142,6 @@ def f_mu_apply(ham, f, z_grid, t_max=None):
         out += fv * alphas[c] * _exp_segment(z, u, v)
     out /= np.sqrt(2.0 * np.pi)
     return complex(out[0]) if scalar else out
-
-
-def wave_norm_sq(ham, r, z):
-    """int_0^r |P_t(z)|^2 dt from the per-cell amplitudes, closed form."""
-    z = complex(z)
-    alphas, wave_nodes = wave_amplitudes(ham, np.array([z]), t_max=r)
-    lo = np.minimum(wave_nodes[:-1], r)
-    hi = np.minimum(wave_nodes[1:], r)
-    y = 2.0 * z.imag
-    if abs(y) < 1e-12:
-        seg = hi - lo
-    else:
-        seg = (np.exp(-y * lo) - np.exp(-y * hi)) / y
-    return float(np.sum(np.abs(alphas[:, 0]) ** 2 * seg))
 
 
 def _plancherel_tail(f, X, w_tail):

@@ -64,14 +64,6 @@ def weyl_function(ham, z, tol=1e-12):
     return complex(m.ravel()[0]) if scalar else m
 
 
-def herglotz_b_residual(ham, y_max):
-    """Im m(iy)/y at y = y_max; tends to the linear coefficient b = 0."""
-    if y_max <= 0:
-        raise DomainError("y_max must be positive")
-    m = weyl_function(ham, 1j * float(y_max), tol=1e-10)
-    return float(np.imag(m)) / float(y_max)
-
-
 def boundary_values(ham, x, eps=2.4, ratio=0.75, eps_min=None):
     """Extrapolate m(x + i*eps) to the real axis along a geometric ladder.
 

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from canonfactor import (HalfLineFunction, read_halfline, read_hamiltonian,
-                         read_matrix, write_halfline, write_hamiltonian)
+from canonfactor import (HalfLineFunction, cli, read_halfline,
+                         read_hamiltonian, read_matrix, write_halfline,
+                         write_hamiltonian)
 from canonfactor.hamiltonian import Hamiltonian
 
 
@@ -209,3 +210,26 @@ def test_config_file_supplies_defaults(tmp_path):
     vals = [float(l.split()[-1]) for l in proc.stdout.strip().splitlines()
             if not l.startswith("#")]
     assert vals == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("grid", ["0:1:-5", "0:1:0", "0:1:2.5", "nan:1:3",
+                                  "0:inf:3", "0:1", "0:1:3:4"])
+def test_exit_code_2_bad_density_grid(tmp_path, grid):
+    hfile = tmp_path / "h.txt"
+    write_hamiltonian(Hamiltonian.identity(4.0, 4), hfile)
+    proc = run_cli("forward", "--hamiltonian", str(hfile),
+                   f"--density-grid={grid}")
+    assert _single_config_error(proc), proc.stderr
+
+
+def test_exit_code_3_internal_error(monkeypatch, capsys):
+    # an untyped exception is one kind=internal line and exit 3, never
+    # the exit 1 of a failed verification
+    def broken(args, out):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "szego", broken)
+    assert cli.main(["szego", "--weight", "constant:c=1"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["canonfactor: error kind=internal "
+                     "detail=RuntimeError: boom second line"]

@@ -16,6 +16,11 @@ def test_build_toeplitz_constant():
     assert np.allclose(wh.matrix, 2.0 * np.eye(6))
     assert wh.symbol_bounds == (2.0, 2.0)
     assert wh.cond == 1.0
+    # c I exactly: I + (c - 1) I rounds for c = 0.1 and 0.3
+    for c in (0.1, 0.3):
+        wh = build_toeplitz(constant_weight(c), 4, 0.5)
+        assert np.array_equal(wh.matrix, np.diag(np.full(4, c)))
+        assert wh.min_eig == wh.max_eig == c
 
 
 def test_build_toeplitz_step_structure():
@@ -28,6 +33,13 @@ def test_build_toeplitz_step_structure():
     # symbol bounds bracket the spectrum (Grenander-Szego)
     assert wh.min_eig >= wh.symbol_bounds[0] - 1e-10
     assert wh.max_eig <= wh.symbol_bounds[1] + 1e-10
+    # the extremes are certified: on the outer side of the dense
+    # eigenvalues, within 1e-9 relative, also for a 1 x 1 section
+    for n in (32, 1):
+        wh = build_toeplitz(step_weight(2.0, 1.0), n, 0.2)
+        eigs = np.linalg.eigvalsh(wh.matrix)
+        assert eigs[0] * (1.0 - 1e-9) <= wh.min_eig <= eigs[0]
+        assert eigs[-1] <= wh.max_eig <= eigs[-1] * (1.0 + 1e-9)
 
 
 def test_cholesky_oracle_hand_value():
@@ -97,6 +109,9 @@ def test_vanishing_weight_degenerates():
     lows = [build_toeplitz(step_weight(0.0, 0.5), n, 0.05).min_eig
             for n in (32, 64, 128)]
     assert lows[0] > lows[1] > lows[2] > 0
+    # w = 0 on [-1, 1] and h = pi give the singular 1 x 1 section [0]
+    with pytest.raises(SpectralPositivityError):
+        build_toeplitz(step_weight(0.0, 1.0), 1, np.pi)
 
 
 def test_matrix_file_round_trip(tmp_path):

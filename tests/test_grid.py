@@ -71,11 +71,20 @@ def test_dilate_scales_nodes_only():
 
 
 def test_sqrt_cells_hand_value():
-    # sqrt of [[2,1],[1,1]] is [[3,1],[1,2]]/sqrt(5)
+    # sqrt of [[2,1],[1,1]] is [[3,1],[1,2]]/sqrt(5); I and 0 are their
+    # own roots
     ham = Hamiltonian.constant([[2.0, 1.0], [1.0, 1.0]], span=1.0)
     s = ham.sqrt_cells()[0]
     assert np.allclose(s, np.array([[3.0, 1.0], [1.0, 2.0]]) / np.sqrt(5.0))
     assert np.allclose(s @ s, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
+    ham = Hamiltonian.from_entries([0.0, 1.0, 2.0], [1.0, 0.0], [0.0, 0.0],
+                                   [1.0, 0.0])
+    roots = ham.sqrt_cells()
+    assert np.allclose(roots[0], np.eye(2))
+    assert np.allclose(roots[1], 0.0)
+    # an indefinite cell never reaches the root: validation rejects it
+    with pytest.raises(ValidationError, match="not PSD"):
+        Hamiltonian.from_entries([0.0, 1.0], [1.0], [2.0], [1.0])
 
 
 def test_random_unimodular_properties():
@@ -99,6 +108,12 @@ def test_validate_flags_defects():
         Hamiltonian.from_entries([0.0, 1.0], [1.0], [2.0], [1.0])
     with pytest.raises(ValidationError, match="finite"):
         Hamiltonian.from_entries([0.0, 1.0], [np.nan], [0.0], [1.0])
+    # finite entries whose determinant overflows: inf - inf = nan for
+    # the indefinite cell, inf for the definite diag(1e200, 1e200)
+    for h in (2e200, 0.0):
+        with pytest.raises(ValidationError, match="cell 1 has a determinant"):
+            Hamiltonian.from_entries([0.0, 1.0, 2.0], [1.0, 1e200],
+                                     [0.0, h], [1.0, 1e200])
 
 
 def test_unimodular_flag_checked():

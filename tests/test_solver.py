@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canonfactor import (DomainError, Hamiltonian, J, inverse_spectral,
-                         j_energy_residual, node_thetas, random_unimodular,
+                         j_energy_residual, random_unimodular,
                          sinc_bump_weight, transfer_matrix)
 from canonfactor.solver import _restore, _sweep, sinch
 
@@ -113,18 +113,20 @@ def test_theta_phi_columns_and_shapes():
     assert np.allclose(tm.phi[:, 1], np.cos(1.5 * zs))
 
 
-def test_node_thetas_normalization_consistent():
+def test_sweep_rows_rebuild_transfer_matrix():
+    # every node's state, its scale put back, is Theta there; each state
+    # is rescaled to largest modulus in [1/2, 1]
     rng = np.random.default_rng(23)
     ham = random_unimodular(rng, 5, span=5.0)
     z = np.array([0.5 + 0.8j, 2j])
-    thetas, logscale = node_thetas(ham, z)
-    rebuilt = thetas * np.exp(logscale)[..., None]
-    for k, node in enumerate(ham.grid.nodes):
+    rows = list(_sweep(ham, z, 1))
+    assert [k for k, _, _ in rows] == list(range(ham.grid.n_cells + 1))
+    for (k, state, scale), node in zip(rows, ham.grid.nodes):
+        rebuilt = (state[:, 0] * np.exp2(scale)).T
         ref = transfer_matrix(ham, node, z).theta
-        assert np.allclose(rebuilt[k], ref, rtol=1e-12, atol=0.0)
-    # rows are rescaled to largest modulus in [1/2, 1]
-    top = np.max(np.abs(thetas), axis=-1)
-    assert np.all((top >= 0.5) & (top <= 1.0))
+        assert np.allclose(rebuilt, ref, rtol=1e-12, atol=0.0)
+        top = np.max(np.abs(state), axis=(0, 1))
+        assert np.all((top >= 0.5) & (top <= 1.0))
 
 
 def test_rescale_is_exact():
@@ -168,8 +170,9 @@ def test_overflow_is_domain_error():
     with pytest.raises(DomainError, match="Im z"):
         transfer_matrix(ham, 20.0, 1 + 400j)
     # the rescaled sweep itself stays finite
-    thetas, logscale = node_thetas(ham, np.array([1 + 400j]))
-    assert np.all(np.isfinite(thetas)) and logscale[-1, 0] > 7000.0
+    for _, state, scale in _sweep(ham, np.array([1 + 400j]), 1):
+        assert np.all(np.isfinite(state))
+    assert np.log(2.0) * scale[0] > 7000.0
 
 
 def test_non_finite_z_rejected():
@@ -178,7 +181,7 @@ def test_non_finite_z_rejected():
         with pytest.raises(DomainError):
             transfer_matrix(ham, 1.0, z)
         with pytest.raises(DomainError):
-            node_thetas(ham, np.array([0.5j, z]))
+            next(_sweep(ham, np.array([0.5j, z]), 1))
 
 
 def test_j_energy_residual_small():

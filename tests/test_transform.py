@@ -2,21 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          constant_weight, f_mu_apply, isometry_residual,
                          krein_wave, random_unimodular, reproducing_kernel,
-                         sqrt_psd_2x2, wave_amplitudes, wave_norm_sq)
-
-
-def test_sqrt_psd_hand_values():
-    assert np.allclose(sqrt_psd_2x2(np.eye(2)), np.eye(2))
-    s = sqrt_psd_2x2(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    assert np.allclose(s, np.array([[3.0, 1.0], [1.0, 2.0]]) / np.sqrt(5.0))
-    z = sqrt_psd_2x2(np.zeros((2, 2)))
-    assert np.allclose(z, 0.0)
-    with pytest.raises(DomainError):
-        sqrt_psd_2x2(np.array([[1.0, 2.0], [2.0, 1.0]]))   # indefinite
+                         transfer_matrix, wave_amplitudes)
 
 
 def test_wave_amplitudes_free_system():
@@ -41,6 +33,38 @@ def test_krein_wave_free_system_is_exponential():
             w = krein_wave(ham, t, z)
             assert abs(w - np.exp(1j * z * t)) < 1e-12 * max(
                 1.0, abs(np.exp(1j * z * t)))
+
+
+def _sqrt_2x2(A):
+    # symmetric PSD square root from the eigendecomposition
+    lam, V = np.linalg.eigh(A)
+    return (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 6),
+       span=st.floats(0.5, 6.0), re=st.floats(-3.0, 3.0),
+       im=st.floats(-0.5, 1.0), fracs=st.lists(st.floats(0.0, 1.0),
+                                               max_size=4))
+def test_krein_wave_matches_theta_formula(seed, n_cells, span, re, im,
+                                          fracs):
+    # oracle: P_t(z) = e^{izt/2} (1, -i) sqrt(H_c) Theta(t/2, z), with c
+    # the cell holding t/2 (the right-hand one at a node), at every wave
+    # node, at t = 0 and 2 span, and at drawn times in between.  The
+    # oracle cancels where P_t(z) decays, so the error is taken relative
+    # to the size of its terms, |e^{izt/2}| |sqrt(H_c)| |Theta|.
+    ham = random_unimodular(np.random.default_rng(seed), n_cells, span)
+    z = complex(re, im)
+    ts = np.concatenate([2.0 * ham.grid.nodes,
+                         2.0 * ham.grid.span * np.asarray(fracs)])
+    for t in ts:
+        c = ham.grid.cell_index(t / 2.0)
+        theta = transfer_matrix(ham, t / 2.0, z).theta
+        root = _sqrt_2x2(ham.cells[c])
+        psi = root @ theta
+        ref = np.exp(0.5j * z * t) * (psi[0] - 1j * psi[1])
+        size = (abs(np.exp(0.5j * z * t)) * np.linalg.norm(root, 2)
+                * np.linalg.norm(theta))
+        assert abs(krein_wave(ham, t, z) - ref) <= 1e-13 * size
 
 
 def test_krein_wave_t_zero_constant_in_z():
@@ -74,13 +98,22 @@ def test_reproducing_kernel_diagonal_limit():
 
 
 def test_wave_norm_identity_free_system():
+    # int_0^r |P_t(z)|^2 dt = (1 - e^{-2 r Im z}) / (2 Im z) for H = I,
+    # summed in closed form over the per-cell amplitudes
     ham = Hamiltonian.identity(4.0, 4)
-    val = wave_norm_sq(ham, 1.0, 1j)
-    assert abs(val - (1.0 - np.exp(-2.0)) / 2.0) < 1e-13
-    # general Im z scaling: int_0^r e^{-2 t Im z} dt
+
+    def energy(r, z):
+        alphas, wave_nodes = wave_amplitudes(ham, np.array([z]), t_max=r)
+        lo = np.minimum(wave_nodes[:-1], r)
+        hi = np.minimum(wave_nodes[1:], r)
+        y = 2.0 * z.imag
+        seg = (np.exp(-y * lo) - np.exp(-y * hi)) / y
+        return float(np.sum(np.abs(alphas[:, 0]) ** 2 * seg))
+
+    assert abs(energy(1.0, 1j) - (1.0 - np.exp(-2.0)) / 2.0) < 1e-13
     for r, z in [(2.0, 0.5j), (1.5, 1.0 + 0.25j)]:
         ref = (1.0 - np.exp(-2.0 * r * z.imag)) / (2.0 * z.imag)
-        assert abs(wave_norm_sq(ham, r, z) - ref) < 1e-12
+        assert abs(energy(r, z) - ref) < 1e-12
 
 
 def test_f_mu_apply_free_is_fourier():

@@ -74,7 +74,6 @@ def test_sinc_bump_accelerant_is_hat():
     ts = np.linspace(-3.0, 3.0, 25)
     ref = (A / (2.0 * B)) * np.maximum(1.0 - np.abs(ts) / (2.0 * B), 0.0)
     assert np.max(np.abs(acc.closed_form(ts) - ref)) < 1e-14
-    assert acc.band_limit == 2.0 * B
 
 
 def test_negative_control_accelerant():
