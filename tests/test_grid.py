@@ -71,20 +71,11 @@ def test_dilate_scales_nodes_only():
 
 
 def test_sqrt_cells_hand_value():
-    # sqrt of [[2,1],[1,1]] is [[3,1],[1,2]]/sqrt(5); I and 0 are their
-    # own roots
+    # sqrt of [[2,1],[1,1]] is [[3,1],[1,2]]/sqrt(5)
     ham = Hamiltonian.constant([[2.0, 1.0], [1.0, 1.0]], span=1.0)
     s = ham.sqrt_cells()[0]
     assert np.allclose(s, np.array([[3.0, 1.0], [1.0, 2.0]]) / np.sqrt(5.0))
     assert np.allclose(s @ s, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
-    ham = Hamiltonian.from_entries([0.0, 1.0, 2.0], [1.0, 0.0], [0.0, 0.0],
-                                   [1.0, 0.0])
-    roots = ham.sqrt_cells()
-    assert np.allclose(roots[0], np.eye(2))
-    assert np.allclose(roots[1], 0.0)
-    # an indefinite cell never reaches the root: validation rejects it
-    with pytest.raises(ValidationError, match="not PSD"):
-        Hamiltonian.from_entries([0.0, 1.0], [1.0], [2.0], [1.0])
 
 
 def test_random_unimodular_properties():

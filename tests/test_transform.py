@@ -6,9 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
-                         constant_weight, f_mu_apply, isometry_residual,
+                         ValidationError, constant_weight, f_mu_apply, isometry_residual,
                          krein_wave, random_unimodular, reproducing_kernel,
                          transfer_matrix, wave_amplitudes)
+
+
+def test_sqrt_psd_hand_values():
+    # the per-cell root behind the waves: I, [[2,1],[1,1]] and 0
+    ham = Hamiltonian.from_entries([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0],
+                                   [0.0, 1.0, 0.0], [1.0, 1.0, 0.0])
+    roots = ham.sqrt_cells()
+    assert np.allclose(roots[0], np.eye(2))
+    assert np.allclose(roots[1],
+                       np.array([[3.0, 1.0], [1.0, 2.0]]) / np.sqrt(5.0))
+    assert np.allclose(roots[2], 0.0)
+    # an indefinite cell never reaches the root: validation rejects it
+    with pytest.raises(ValidationError, match="not PSD"):
+        Hamiltonian.from_entries([0.0, 1.0], [1.0], [2.0], [1.0])
 
 
 def test_wave_amplitudes_free_system():
