@@ -5,17 +5,20 @@ CANON_FACTOR_THREADS must land in the environment before numpy/BLAS
 initialize, so all numeric imports happen inside the handlers.
 
 Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
-(including any path that cannot be read or written), 3 domain errors
-from the modules and any other exception (kind=internal), 4
-convergence errors.  Failures print a single
+(including a malformed command line, a non-finite number, and any path
+that cannot be read or written), 3 domain errors from the modules, a
+floating-point breakdown (kind=domain) and any other exception
+(kind=internal), 4 convergence errors.  Failures print a single
 machine-parsable line ``canonfactor: error kind=... detail=...`` on
 stderr.
 """
 
 import argparse
 import configparser
+import math
 import os
 import sys
+import warnings
 
 
 class ConfigError(Exception):
@@ -40,8 +43,35 @@ def _apply_thread_env():
 
 # -- argument plumbing --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ConfigError, so it becomes one error line
+    and exit 2 like every other configuration problem."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _finite(text):
+    """A finite float (argparse type)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+    return value
+
+
+def _positive(text):
+    """A finite float > 0 (argparse type)."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"not positive: {text!r}")
+    return value
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="canonfactor",
         description="Canonical systems: forward/inverse spectral problems, "
                     "wave transforms, and triangular factorization.")
@@ -58,14 +88,14 @@ def _build_parser():
     fw.add_argument("--z", default="", help="comma list of complex z")
     fw.add_argument("--density-grid", default="",
                     help="a:b:n real grid for boundary density samples")
-    fw.add_argument("--eps", type=float, default=2.4,
+    fw.add_argument("--eps", type=_positive, default=2.4,
                     help="Poisson ladder start for density extrapolation")
     fw.add_argument("--out", default="-", help="output file, - for stdout")
 
     wy = sub.add_parser("weyl", help="Weyl function values on a z grid")
     wy.add_argument("--hamiltonian", required=True)
     wy.add_argument("--z", required=True, help="comma list of complex z")
-    wy.add_argument("--tol-weyl", type=float, default=1e-10)
+    wy.add_argument("--tol-weyl", type=_finite, default=1e-10)
     wy.add_argument("--out", default="-")
 
     sz = sub.add_parser("szego", help="K(mu, iy) table for a weight")
@@ -77,9 +107,9 @@ def _build_parser():
 
     a2 = sub.add_parser("a2", help="A2 characteristics of a half-line function")
     a2.add_argument("--function", required=True, help="#halfline v1 file")
-    a2.add_argument("--tail", type=float, default=None,
+    a2.add_argument("--tail", type=_finite, default=None,
                     help="constant tail if the file has none")
-    a2.add_argument("--window", type=float, default=2.0)
+    a2.add_argument("--window", type=_finite, default=2.0)
     a2.add_argument("--out", default="-")
 
     dc = sub.add_parser("decompose", help="L1+L2 split of a half-line function")
@@ -90,9 +120,10 @@ def _build_parser():
 
     iv = sub.add_parser("invert", help="weight -> Hamiltonian file")
     iv.add_argument("--weight", required=True)
-    iv.add_argument("--span", type=float, required=True, help="R: H lives on [0,R]")
+    iv.add_argument("--span", type=_positive, required=True,
+                    help="R: H lives on [0,R]")
     iv.add_argument("--cells", type=int, required=True)
-    iv.add_argument("--truncate", type=float, default=None,
+    iv.add_argument("--truncate", type=_positive, default=None,
                     help="truncate the weight to [-j, j] first")
     iv.add_argument("--out-hamiltonian", required=True)
     iv.add_argument("--out", default="-")
@@ -103,12 +134,12 @@ def _build_parser():
     tr.add_argument("--z", default="", help="comma list of complex z")
     tr.add_argument("--weight", default="",
                     help="weight for the isometry residual (optional)")
-    tr.add_argument("--x-truncation", type=float, default=1e3)
+    tr.add_argument("--x-truncation", type=_positive, default=1e3)
     tr.add_argument("--out", default="-")
 
     fz = sub.add_parser("factorize", help="weight -> triangular factor + report")
     fz.add_argument("--weight", required=True)
-    fz.add_argument("--window", type=float, required=True,
+    fz.add_argument("--window", type=_positive, required=True,
                     help="R: discretize on [0, R]")
     fz.add_argument("--cells", type=int, required=True)
     fz.add_argument("--out-factor", default="")
@@ -123,7 +154,7 @@ def _build_parser():
 
 def _merge_config(parser, argv):
     """Let an INI file supply defaults; explicit flags still win."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
@@ -164,18 +195,15 @@ def _merge_config(parser, argv):
     return parser.parse_args(argv)
 
 
-def _parse_floats(text):
+def _parse_list(text, kind):
+    """Comma list of finite numbers of the given kind (float or complex)."""
     try:
-        return [float(s) for s in text.split(",") if s.strip()]
+        values = [kind(s.strip()) for s in text.split(",") if s.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}")
-
-
-def _parse_complexes(text):
-    try:
-        return [complex(s.strip()) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad complex list {text!r}: {exc}")
+        raise ConfigError(f"bad {kind.__name__} list {text!r}: {exc}")
+    if not all(math.isfinite(abs(v)) for v in values):
+        raise ConfigError(f"bad {kind.__name__} list {text!r}: not finite")
+    return values
 
 
 def _resolve_weight(spec):
@@ -193,9 +221,10 @@ def _resolve_weight(spec):
         if not _:
             raise ConfigError(f"weight parameter {item!r} is not key=value")
         try:
-            params[key.strip()] = float(val)
-        except ValueError:
-            raise ConfigError(f"weight parameter {item!r} is not numeric")
+            params[key.strip()] = _finite(val)
+        except argparse.ArgumentTypeError:
+            raise ConfigError(f"weight parameter {item!r} is not a finite "
+                              "number")
     try:
         return weight_by_name(name.strip(), **params)
     except (KeyError, TypeError) as exc:
@@ -236,8 +265,8 @@ def _cmd_forward(args, out):
     from .hamiltonian import read_hamiltonian
     from .solver import transfer_matrix
     ham = read_hamiltonian(args.hamiltonian)
-    ts = _parse_floats(args.times)
-    zs = _parse_complexes(args.z)
+    ts = _parse_list(args.times, float)
+    zs = _parse_list(args.z, complex)
     if ts and zs:
         out.write("# t Re(z) Im(z) m00 m01 m10 m11 (Re Im each)")
         for t in ts:
@@ -268,7 +297,9 @@ def _cmd_weyl(args, out):
     from .weyl import weyl_sweep
     import numpy as np
     ham = read_hamiltonian(args.hamiltonian)
-    zs = _parse_complexes(args.z)
+    zs = _parse_list(args.z, complex)
+    if not zs:
+        raise ConfigError("--z names no point")
     m, d = weyl_sweep(ham, np.array(zs), tol=args.tol_weyl)
     worst = float(np.max(d))
     if worst > args.tol_weyl:
@@ -284,7 +315,7 @@ def _cmd_weyl(args, out):
 def _cmd_szego(args, out):
     from .weyl import szego_K
     mu = _resolve_weight(args.weight)
-    ys = _parse_floats(args.y)
+    ys = _parse_list(args.y, float)
     out.write("# y K(mu, iy)")
     for y in ys:
         out.write(f"{_fmt(y)} {_fmt(szego_K(mu, 1j * y))}")
@@ -335,7 +366,7 @@ def _cmd_transform(args, out):
     from .transform import f_mu_apply, isometry_residual
     ham = read_hamiltonian(args.hamiltonian)
     f = read_halfline(args.function)
-    zs = _parse_complexes(args.z)
+    zs = _parse_list(args.z, complex)
     if zs:
         import numpy as np
         vals = f_mu_apply(ham, f, np.array(zs))
@@ -372,6 +403,8 @@ def _cmd_verify(args, out):
             indices = [int(s) for s in args.only.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad criterion list {args.only!r}: {exc}")
+        if not indices:
+            raise ConfigError(f"criterion list {args.only!r} names none")
     results = run_acceptance(indices=indices, printer=out.write,
                              seed=args.seed)
     failed = [r.index for r in results if not r.passed]
@@ -392,39 +425,41 @@ _HANDLERS = {
 }
 
 
+def _fail(kind, detail, code):
+    """Print the one error line (whitespace collapsed) and return code."""
+    detail = " ".join(str(detail).split())
+    print(f"canonfactor: error kind={kind} detail={detail}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         _apply_thread_env()
-        parser = _build_parser()
-        args = _merge_config(parser, argv)
+        args = _merge_config(_build_parser(), argv)
     except ConfigError as exc:
-        print(f"canonfactor: error kind=config detail={exc}", file=sys.stderr)
-        return 2
+        return _fail("config", exc, 2)
 
     from .errors import ConvergenceError, DomainError
     out = _Out(getattr(args, "out", "-"))
     try:
-        code = _HANDLERS[args.command](args, out)
+        with warnings.catch_warnings():
+            # a floating-point warning means the numerics broke down on
+            # this input: one error line, never a nan printed as a result
+            warnings.simplefilter("error", RuntimeWarning)
+            code = _HANDLERS[args.command](args, out)
         out.close()
     except (ConfigError, OSError) as exc:
         # OSError: an input that cannot be read or an output that cannot
         # be written, such as a directory or a missing parent directory
-        print(f"canonfactor: error kind=config detail={exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"canonfactor: error kind=domain detail={exc}", file=sys.stderr)
-        return 3
+        return _fail("config", exc, 2)
+    except (DomainError, RuntimeWarning) as exc:
+        return _fail("domain", exc, 3)
     except ConvergenceError as exc:
-        print(f"canonfactor: error kind=convergence detail={exc}",
-              file=sys.stderr)
-        return 4
+        return _fail("convergence", exc, 4)
     except Exception as exc:
         # an untyped error is a defect, never a failed verification (1)
-        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"canonfactor: error kind=internal detail={detail}",
-              file=sys.stderr)
-        return 3
+        return _fail("internal", f"{type(exc).__name__}: {exc}", 3)
     return code
 
 

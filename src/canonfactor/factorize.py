@@ -13,6 +13,14 @@ against sampled waves of the Hamiltonian recovered from w, and is
 compared against a direct Cholesky oracle.  The extreme eigenvalues of
 W come from the O(n^2) certified brackets of the inverse layer, so the
 dense W serves only the Cholesky oracle and the factor residual.
+
+The pairing depends on i and j only through the lag j - i once the wave
+amplitudes of row i are known, and its quadrature nodes sit on uniform
+panels of the Nyquist window, so each row is a handful of FFTs over the
+panels: A takes O(n^2 log n) time.  The amplitudes stream off one
+real-axis sweep a block of rows at a time, so memory is O(n^2), the size
+of A itself.  Panels that a breakpoint of w cuts are split there and
+summed directly.
 """
 
 from dataclasses import dataclass
@@ -25,7 +33,10 @@ from .errors import DomainError, SpectralPositivityError, ValidationError
 from .inverse import _certified_extremes, _toeplitz_column, inverse_spectral
 from .quadrature import gauss_legendre
 from .tables import read_table, write_table
-from .transform import wave_amplitudes
+from .transform import _amplitude_rows
+
+_BLOCK = 1 << 17        # amplitude rows x nodes per block of the assembly
+_ORDER = 16             # Gauss-Legendre nodes per panel of the pairing
 
 
 @dataclass
@@ -92,8 +103,8 @@ def chain_preservation_check(A):
     sq = A * A
     colsum_below = np.cumsum(sq[::-1], axis=0)[::-1]   # sum over i >= k
     blocks = np.cumsum(colsum_below, axis=1)            # then over j < k
-    leaks = [blocks[k, k - 1] for k in range(1, n)]
-    return float(np.sqrt(max(max(leaks), 0.0)))
+    leaks = blocks[np.arange(1, n), np.arange(n - 1)]
+    return float(np.sqrt(max(leaks.max(), 0.0)))
 
 
 @dataclass
@@ -123,14 +134,60 @@ class FactorReport:
         return "\n".join(lines)
 
 
-def _factor_quadrature(X, n, breakpoints):
-    """Order-16 GL nodes/weights on max(n, 4) panels of [0, X] (16 nodes
-    per discrete time), the panels also cut at interior breakpoints."""
-    edges = np.unique(np.concatenate([
-        np.linspace(0.0, X, max(n, 4) + 1),
-        [p for p in breakpoints if 0.0 < p < X]]))
-    nodes, wq = gauss_legendre(16, edges[:-1], edges[1:])
-    return nodes.ravel(), wq.ravel()
+def _lag_assembly(ham, mu, h, n):
+    """A[i, j] = Re S_i(j - i), S_i(m) = sum_x conj(alpha_i(x)) c(x) e^{ixhm}.
+
+    The nodes x are order-16 Gauss-Legendre on P = max(n, 4) uniform
+    panels of [0, pi/h], with c = w * weight * h/pi.  On an uncut panel p
+    the nodes are x = (p + u_k) pi/(P h), so the sum over those panels is
+    one length-2P FFT over p per offset u_k, then a 16-term sum against
+    the twiddles e^{i pi m u_k / P}.  A panel that a breakpoint of w
+    cuts is split there, and its nodes are summed directly against the
+    phases e^{i x h m}.  The amplitude rows stream off one real-axis
+    sweep in blocks, so memory is A plus O(_BLOCK + n * cut nodes).
+    """
+    X = np.pi / h
+    P = max(n, 4)
+    edges = np.linspace(0.0, X, P + 1)
+    fine = np.unique(np.concatenate([
+        edges, [b for b in mu.breakpoints if 0.0 < b < X]]))
+    panel = np.searchsorted(edges, fine[:-1], side="right") - 1
+    cut = np.bincount(panel, minlength=P) > 1
+    x_u, wq_u = gauss_legendre(_ORDER, edges[:-1], edges[1:])   # (P, 16)
+    x_c, wq_c = gauss_legendre(_ORDER, fine[:-1][cut[panel]],
+                               fine[1:][cut[panel]])
+    x = np.concatenate([x_u.ravel(), x_c.ravel()])
+    wq = np.concatenate([np.where(cut[:, None], 0.0, wq_u).ravel(),
+                         wq_c.ravel()])
+    c = np.asarray(mu(x), dtype=float) * wq * (h / np.pi)
+
+    m = np.arange(-(n - 1), n)                                  # the lags
+    u, _ = gauss_legendre(_ORDER, 0.0, 1.0)
+    twiddle = np.exp(1j * np.pi / P * u[:, None] * m)           # (16, 2n - 1)
+    phase = np.exp(1j * h * x_c.reshape(-1, 1) * m)             # (Qc, 2n - 1)
+    n_u = x_u.size
+
+    A = np.empty((n, n))
+    rows = max(1, _BLOCK // x.size)
+    block = np.empty((rows, x.size), dtype=complex)
+    for i, alpha in _amplitude_rows(ham, x, n):
+        r = i % rows
+        block[r] = alpha
+        if r < rows - 1 and i < n - 1:
+            continue
+        g = np.conjugate(block[:r + 1], out=block[:r + 1])
+        g *= c
+        # unscaled inverse FFT: G[b, m, k] = sum_p g[b, p, k] e^{i pi p m/P}
+        G = np.fft.ifft(g[:, :n_u].reshape(r + 1, P, _ORDER), 2 * P, axis=1,
+                        norm="forward")
+        S = np.einsum("bmk,km->bm", G[:, m % (2 * P)], twiddle)
+        S += g[:, n_u:] @ phase
+        lo = i - r
+        lags = np.arange(n) - np.arange(lo, i + 1)[:, None] + (n - 1)
+        A[lo:i + 1] = np.take_along_axis(S.real, lags, axis=1)
+    if not np.all(np.isfinite(A)):
+        raise DomainError("wave amplitudes overflow on the Nyquist window")
+    return A
 
 
 def factor_via_transform(mu, R, n):
@@ -142,6 +199,11 @@ def factor_via_transform(mu, R, n):
     A[i, j] = <e_j, phi_i>_{L2(w dx)}.  Rows with negative diagonal are
     sign-flipped (A^T A is unchanged); entries below the diagonal are
     zeroed and their pre-zero mass reported as leakage.
+
+    The pairing is a lag-FFT assembly (see ``_lag_assembly``): the wave
+    amplitudes stream off one real-axis sweep and each row costs 16 FFTs
+    of length 2 max(n, 4), so A takes O(n^2 log n) time and O(n^2)
+    memory; panels cut by a breakpoint of w are summed directly.
     """
     mu.require_positive()
     if n < 1 or R <= 0:
@@ -156,18 +218,9 @@ def factor_via_transform(mu, R, n):
                               (c, c))
         return A, report
 
-    ham = inverse_spectral(mu, R / 2.0, n)
-    X = np.pi / h
-    nodes, wq = _factor_quadrature(X, n, mu.breakpoints)
-    alphas, wave_nodes = wave_amplitudes(ham, nodes)   # (n, Q)
-    t = h * np.arange(n)
-    dens = np.asarray(mu(nodes), dtype=float)
-
     # A = 2 Re int_0^X conj(alpha_i e^{ix t_i}) e^{ix t_j} w(x) dx h/2pi;
     # the integrand is conjugate-even in x, so the half-window suffices.
-    phase = np.exp(1j * nodes[None, :] * t[:, None])   # (n, Q)
-    B = np.conj(alphas * phase) * (dens * wq)[None, :] * (h / np.pi)
-    A = (B @ phase.T).real
+    A = _lag_assembly(inverse_spectral(mu, R / 2.0, n), mu, h, n)
 
     diag = np.diag(A).copy()
     signs = np.where(diag < 0.0, -1.0, 1.0)

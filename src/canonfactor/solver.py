@@ -20,6 +20,12 @@ After every step the state of each z is divided by a power of two
 (frexp/ldexp), which is exact: wherever the unscaled product is finite
 and normal, the rescaled one with its scale put back equals it bit for
 bit, and past double range the scale-free ratios stay available.
+
+The sweep follows the dtype of z.  For real z the generator J H is real,
+so M(t, z) is real with det 1: the propagators (real ``cos``, real
+``sinch``) and the state are float64, at a fraction of the cost of
+complex arithmetic, and no cell is cut into substeps.  Complex z runs
+the same code in complex128.
 """
 
 import numpy as np
@@ -50,8 +56,8 @@ def sinch(x):
 def _propagators(cells, widths, z):
     """exp(-z * width * J * cell) for B cells and nz values of z.
 
-    cells : (B, 2, 2), widths : (B,), z : (nz,) complex.
-    Returns P with P[i, j] of shape (B, nz).
+    cells : (B, 2, 2), widths : (B,), z : (nz,) real or complex.
+    Returns P with P[i, j] of shape (B, nz), real when z is.
     """
     d = np.sqrt(np.maximum(
         cells[:, 0, 0] * cells[:, 1, 1] - cells[:, 0, 1] * cells[:, 1, 0], 0.0))
@@ -69,10 +75,11 @@ def _propagators(cells, widths, z):
 def _sweep(ham, z, m, t=None):
     """March the first m columns of M(., z) across the grid.
 
-    z is a finite 1-D complex array.  Yields (k, state, scale) at t_0 = 0
-    and after each cell k = 1, 2, ...: M(t_k, z)[:, :m] equals
+    z is a finite 1-D real or complex array.  Yields (k, state, scale) at
+    t_0 = 0 and after each cell k = 1, 2, ...: M(t_k, z)[:, :m] equals
     state * 2**scale, with state of shape (2, m, nz) and the integer
-    exponents scale of shape (nz,).  With t the grid is cut at t, so the
+    exponents scale of shape (nz,).  The state is float64 for real z
+    and complex128 for complex z.  With t the grid is cut at t, so the
     last node yielded is t itself.  Yielded arrays are never modified.
     """
     if not np.all(np.isfinite(z)):
@@ -86,7 +93,8 @@ def _sweep(ham, z, m, t=None):
     im_max = np.max(np.abs(z.imag), initial=0.0)
     nsub = np.maximum(1, np.ceil(im_max * widths * d / _MAX_GROWTH)).astype(int)
 
-    state = np.eye(2, m, dtype=complex)[..., None].repeat(z.size, axis=-1)
+    state = np.eye(2, m, dtype=np.result_type(z, np.float64))[..., None]
+    state = state.repeat(z.size, axis=-1)
     scale = np.zeros(z.size, dtype=np.int64)
     yield 0, state, scale
     per_block = max(1, _BLOCK // max(z.size, 1))

@@ -76,6 +76,9 @@ def boundary_values(ham, x, eps=2.4, ratio=0.75, eps_min=None):
     span = ham.grid.span
     if eps_min is None:
         eps_min = 3.0 / span
+    if not (np.isfinite(eps) and 0.0 < ratio < 1.0):
+        # either would grow the ladder without end
+        raise DomainError("ladder needs a finite eps and 0 < ratio < 1")
     if eps <= eps_min:
         raise DomainError("ladder start eps must exceed the eps_min floor")
     ladder = [float(eps)]

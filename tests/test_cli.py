@@ -1,10 +1,14 @@
 """End-to-end command line runs: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from canonfactor import (HalfLineFunction, cli, read_halfline,
                          read_hamiltonian, read_matrix, write_halfline,
@@ -233,3 +237,86 @@ def test_exit_code_3_internal_error(monkeypatch, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["canonfactor: error kind=internal "
                      "detail=RuntimeError: boom second line"]
+
+
+# malformed or degenerate values for any option; blank values are left
+# out for verify, where an empty --only means the whole suite
+_MALFORMED = ["", " ", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0",
+              "1e-320", ",", "1:2", "1j", "1+infj", "--", "\u00e9", "-2.5"]
+_BAD_WEIGHTS = ["", "step", "step:inner=x", "step:inner=nan",
+                "step:inner=inf,half_width=1", "step:inner=-1",
+                "step:half_width=0", "constant:c=0", "constant:c=inf",
+                "nope:c=1", "step:bogus=1", "step:=2", "step:inner",
+                "sinc-bump:scale=1e-320", "sinc-bump:amplitude=nan",
+                "cosine-bump:half_width=1e-320", "@/nonexistent/w.txt",
+                "file:"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_commands(tmp_path_factory):
+    """One small valid argv per subcommand (verify's names no criterion);
+    every output path lies in a temporary directory."""
+    d = tmp_path_factory.mktemp("fuzz")
+    ham, fun = str(d / "h.txt"), str(d / "f.txt")
+    write_hamiltonian(Hamiltonian.identity(40.0, 4), ham)
+    write_halfline(HalfLineFunction.from_uniform([1.0, -0.5, 0.25, 2.0],
+                                                 span=2.0), fun)
+    step = "step:inner=2,half_width=1"
+    return {
+        "forward": ["--hamiltonian", ham, "--times", "1", "--z", "1+0.5j",
+                    "--density-grid", "-1:1:3", "--eps", "2.4"],
+        "weyl": ["--hamiltonian", ham, "--z", "1j", "--tol-weyl", "1e-10"],
+        "szego": ["--weight", step, "--y", "1"],
+        "a2": ["--function", fun, "--tail", "0", "--window", "2"],
+        "decompose": ["--function", fun, "--out-f1", str(d / "f1.txt"),
+                      "--out-f2", str(d / "f2.txt")],
+        "invert": ["--weight", "sinc-bump:amplitude=0.5,scale=1",
+                   "--span", "4", "--cells", "8", "--truncate", "30",
+                   "--out-hamiltonian", str(d / "h_out.txt")],
+        "transform": ["--hamiltonian", ham, "--function", fun,
+                      "--z", "1+0.5j", "--weight", "constant:c=1",
+                      "--x-truncation", "10"],
+        "factorize": ["--weight", step, "--window", "3.2", "--cells", "8",
+                      "--out-factor", str(d / "a.txt"),
+                      "--out-cholesky", str(d / "l.txt")],
+        "verify": ["--only", "0"],
+    }
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_fuzz_every_failure_is_one_error_line(fuzz_commands, data):
+    cmd = data.draw(st.sampled_from(sorted(fuzz_commands)), label="command")
+    argv = list(fuzz_commands[cmd])
+    flags = [i for i, a in enumerate(argv)
+             if a.startswith("--") and not a.startswith("--out")]
+    how = data.draw(st.sampled_from(["value", "value", "value", "no value",
+                                     "unknown flag", "global flag"]))
+    if how == "value":
+        for i in data.draw(st.lists(st.sampled_from(flags), min_size=1,
+                                    max_size=2, unique=True)):
+            bad = _BAD_WEIGHTS if argv[i] == "--weight" else _MALFORMED
+            if cmd == "verify":
+                bad = [b for b in bad if b.strip()]
+            argv[i + 1] = data.draw(st.sampled_from(bad))
+        argv = [cmd] + argv
+    elif how == "no value":
+        del argv[data.draw(st.sampled_from(flags)) + 1]
+        argv = [cmd] + argv
+    elif how == "unknown flag":
+        argv = [cmd] + argv + ["--bogus", "1"]
+    else:
+        flag = data.draw(st.sampled_from(["--seed", "--config"]))
+        argv = [flag, data.draw(st.sampled_from(_MALFORMED)), cmd] + argv
+    note(argv)
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        assert "nan" not in out.getvalue().lower()
+    else:
+        assert code in (2, 3, 4)
+        assert len(lines) == 1
+        assert lines[0].startswith("canonfactor: error kind=")

@@ -1,14 +1,20 @@
 """Discretized Wiener-Hopf operators and their triangular factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from canonfactor import (SpectralMeasure, SpectralPositivityError,
-                         ValidationError, build_toeplitz,
-                         chain_preservation_check, cholesky_oracle,
-                         constant_weight, factor_via_transform, read_matrix,
-                         sinc_bump_weight, step_weight, write_matrix,
-                         write_weight)
+from canonfactor import (DomainError, SpectralMeasure,
+                         SpectralPositivityError, ValidationError,
+                         build_toeplitz, chain_preservation_check,
+                         cholesky_oracle, constant_weight,
+                         cosine_bump_weight, factor_via_transform,
+                         inverse_spectral, read_matrix,
+                         sampled_weight, sinc_bump_weight, step_weight,
+                         wave_amplitudes, write_matrix, write_weight)
+from canonfactor import factorize
+from canonfactor.quadrature import gauss_legendre
 
 
 def test_build_toeplitz_constant():
@@ -93,6 +99,88 @@ def test_factor_bump_weight_small(bump_mu):
     assert rep.residual < 1e-3
     assert rep.vs_cholesky < 2e-2
     assert rep.cond ** 2 < 1.2 * 1.5
+
+
+def _dense_assembly(ham, mu, h, n):
+    """Reference pairing: order-16 Gauss-Legendre on the max(n, 4)
+    uniform panels of [0, pi/h], also cut at the breakpoints of w, and
+    one dense (n, Q) x (Q, n) product."""
+    X = np.pi / h
+    edges = np.unique(np.concatenate([
+        np.linspace(0.0, X, max(n, 4) + 1),
+        [p for p in mu.breakpoints if 0.0 < p < X]]))
+    nodes, wq = gauss_legendre(16, edges[:-1], edges[1:])
+    nodes, wq = nodes.ravel(), wq.ravel()
+    alphas = wave_amplitudes(ham, nodes + 0j)[0][:n]
+    phase = np.exp(1j * nodes[None, :] * (h * np.arange(n))[:, None])
+    B = (np.conj(alphas * phase) * (np.asarray(mu(nodes)) * wq)[None, :]
+         * (h / np.pi))
+    return (B @ phase.T).real
+
+
+_R = 12.8
+
+
+def _sampled(n):
+    """Even piecewise-linear weight with ~50 breakpoints on each side,
+    one of them exactly on an interior panel edge of the size-n pairing
+    (P = max(n, 4) panels of [0, pi n/R])."""
+    P = max(n, 4)
+    edge = np.linspace(0.0, np.pi / (_R / n), P + 1)[P // 2 + 1]
+    xp = np.unique(np.concatenate([np.linspace(0.05, 20.0, 48), [edge]]))
+    x = np.concatenate([-xp[::-1], xp])
+    return sampled_weight(x, 1.0 + 0.5 * np.cos(x) ** 2)
+
+
+_WEIGHTS = {
+    "step": lambda n: step_weight(2.0, 1.0),
+    "cosine-bump": lambda n: cosine_bump_weight(1.0, 1.0),
+    "sinc-bump": lambda n: sinc_bump_weight(0.5, 1.0),
+    "sampled": _sampled,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 37, 128])
+@pytest.mark.parametrize("name", sorted(_WEIGHTS))
+def test_lag_assembly_matches_dense_pairing(name, n, monkeypatch):
+    mu = _WEIGHTS[name](n)
+    h = _R / n
+    if name == "sampled" and n >= 37:
+        # dozens of panels are cut, and the edge breakpoint cuts none
+        inside = [b for b in mu.breakpoints if 0.0 < b < np.pi / h]
+        on_edge = np.isin(inside, np.linspace(0.0, np.pi / h, n + 1))
+        assert on_edge.sum() == 1 and (~on_edge).sum() >= 19
+    ham = inverse_spectral(mu, _R / 2.0, max(n, 2))
+    A = factorize._lag_assembly(ham, mu, h, n)
+    assert A.shape == (n, n)
+    assert np.max(np.abs(A - _dense_assembly(ham, mu, h, n))) <= 1e-12
+    if n == 1:
+        # one cell is below inverse_spectral's minimum of two
+        with pytest.raises(DomainError):
+            factor_via_transform(mu, _R, n)
+        return
+    A, rep = factor_via_transform(mu, _R, n)
+    monkeypatch.setattr(factorize, "_lag_assembly", _dense_assembly)
+    A_ref, ref = factor_via_transform(mu, _R, n)
+    assert np.max(np.abs(A - A_ref)) <= 1e-12
+    for field in ("residual", "cond", "leakage", "vs_cholesky",
+                  "min_abs_diag"):
+        a, b = getattr(rep, field), getattr(ref, field)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), field
+
+
+def test_factor_memory_stays_below_one_dense_node_array():
+    # one (n, 16n) complex array at n = 512 is 64 MiB; the streamed
+    # assembly holds none
+    mu = step_weight(2.0, 1.0)
+    factor_via_transform(mu, _R, 8)
+    tracemalloc.start()
+    try:
+        factor_via_transform(mu, _R, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 16 * 512 * 16
 
 
 def test_factor_report_is_parsable():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from canonfactor import (DomainError, Hamiltonian, J, inverse_spectral,
                          j_energy_residual, random_unimodular,
-                         sinc_bump_weight, transfer_matrix)
+                         sinc_bump_weight, transfer_matrix, wave_amplitudes)
 from canonfactor.solver import _restore, _sweep, sinch
 
 
@@ -127,6 +127,30 @@ def test_sweep_rows_rebuild_transfer_matrix():
         assert np.allclose(rebuilt, ref, rtol=1e-12, atol=0.0)
         top = np.max(np.abs(state), axis=(0, 1))
         assert np.all((top >= 0.5) & (top <= 1.0))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 12),
+       span=st.floats(0.5, 20.0),
+       xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+def test_real_sweep_matches_complex(seed, n_cells, span, xs):
+    # real z runs the sweep in float64; the same points as complex128
+    # give the same states to rounding and the same power-of-two scales
+    ham = random_unimodular(np.random.default_rng(seed), n_cells, span)
+    x = np.asarray(xs)
+    real = list(_sweep(ham, x, 2))
+    cplx = list(_sweep(ham, x.astype(complex), 2))
+    assert len(real) == len(cplx) == n_cells + 1
+    for (k, a, sa), (kc, b, sb) in zip(real, cplx):
+        assert k == kc
+        assert a.dtype == np.float64 and b.dtype == np.complex128
+        assert np.array_equal(sa, sb)
+        top = np.max(np.abs(b), axis=(0, 1))
+        assert np.all(np.abs(a - b) <= 1e-14 * top)
+    alphas, nodes = wave_amplitudes(ham, x)
+    ref, ref_nodes = wave_amplitudes(ham, x + 0j)
+    assert alphas.dtype == np.complex128
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.all(np.abs(alphas - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_rescale_is_exact():

@@ -72,6 +72,11 @@ def test_non_finite_z_rejected():
         spectral_density(ham, [np.nan])
     with pytest.raises(DomainError):
         boundary_values(ham, [0.0, np.inf])
+    # an infinite start or a ratio >= 1 would never end the ladder
+    for kw in ({"eps": np.inf}, {"eps": np.nan}, {"ratio": 1.0},
+               {"ratio": 0.0}):
+        with pytest.raises(DomainError, match="ladder"):
+            boundary_values(ham, [0.0], **kw)
 
 
 def test_herglotz_b_residual_decays():
