@@ -83,8 +83,7 @@ class AcceptanceContext:
         key = ("err", n)
         if key not in self._cache:
             xs = np.linspace(-5.0, 5.0, 41)
-            dens = spectral_density(self.recovered(n), xs,
-                                    eps=2.4, ratio=0.75, eps_min=0.3)
+            dens = spectral_density(self.recovered(n), xs)
             truth = np.asarray(self.bump_mu(xs), dtype=float)
             self._cache[key] = float(np.max(np.abs(dens - truth) / truth))
         return self._cache[key]

@@ -89,7 +89,10 @@ def _build_parser():
     fw.add_argument("--density-grid", default="",
                     help="a:b:n real grid for boundary density samples")
     fw.add_argument("--eps", type=_positive, default=2.4,
-                    help="Poisson ladder start for density extrapolation")
+                    help="Poisson ladder start for density extrapolation; "
+                         "used only for a Hamiltonian that is not "
+                         "unimodular (a unimodular one reads its density "
+                         "off the endpoint wave)")
     fw.add_argument("--out", default="-", help="output file, - for stdout")
 
     wy = sub.add_parser("weyl", help="Weyl function values on a z grid")

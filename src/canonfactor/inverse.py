@@ -214,8 +214,8 @@ def wave_values_at_zero(mu, R, N):
     Exposed separately so tests can probe the discretization directly.
     """
     mu.require_positive()
-    if R <= 0 or N < 2:
-        raise DomainError("need R > 0 and N >= 2 cells")
+    if R <= 0 or N < 1:
+        raise DomainError("need R > 0 and N >= 1 cell")
     eta = float(R) / int(N)
     M = 2 * int(N)
     kern = accelerant_from_weight(mu, R=(M - 1) * eta, M=M)
@@ -237,8 +237,8 @@ def inverse_spectral(mu, R, N, report=False):
     truncate_weight first when it is not).
     """
     mu.require_positive()
-    if R <= 0 or N < 2:
-        raise DomainError("need R > 0 and N >= 2 cells")
+    if R <= 0 or N < 1:
+        raise DomainError("need R > 0 and N >= 1 cell")
     N = int(N)
     if mu.is_constant:
         c = mu.c1

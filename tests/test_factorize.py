@@ -1,11 +1,12 @@
 """Discretized Wiener-Hopf operators and their triangular factorization."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from canonfactor import (DomainError, SpectralMeasure,
+from canonfactor import (FactorReport, SpectralMeasure,
                          SpectralPositivityError, ValidationError,
                          build_toeplitz, chain_preservation_check,
                          cholesky_oracle, constant_weight,
@@ -101,6 +102,21 @@ def test_factor_bump_weight_small(bump_mu):
     assert rep.cond ** 2 < 1.2 * 1.5
 
 
+@pytest.mark.parametrize("weight", ["step_mu", "bump_mu"])
+def test_factor_report_norms_match_svd(weight, request, monkeypatch):
+    # the residual's 2-norms come from a symmetric eigensolve; every
+    # report field stays where the SVD 2-norms put it
+    mu = request.getfixturevalue(weight)
+    _, rep = factor_via_transform(mu, 9.6, 96)
+    monkeypatch.setattr(factorize, "_sym_norm2",
+                        lambda S: np.linalg.norm(S, 2))
+    _, ref = factor_via_transform(mu, 9.6, 96)
+    for field in fields(FactorReport):
+        a = np.asarray(getattr(rep, field.name), dtype=float)
+        b = np.asarray(getattr(ref, field.name), dtype=float)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), field.name
+
+
 def _dense_assembly(ham, mu, h, n):
     """Reference pairing: order-16 Gauss-Legendre on the max(n, 4)
     uniform panels of [0, pi/h], also cut at the breakpoints of w, and
@@ -150,15 +166,10 @@ def test_lag_assembly_matches_dense_pairing(name, n, monkeypatch):
         inside = [b for b in mu.breakpoints if 0.0 < b < np.pi / h]
         on_edge = np.isin(inside, np.linspace(0.0, np.pi / h, n + 1))
         assert on_edge.sum() == 1 and (~on_edge).sum() >= 19
-    ham = inverse_spectral(mu, _R / 2.0, max(n, 2))
+    ham = inverse_spectral(mu, _R / 2.0, n)
     A = factorize._lag_assembly(ham, mu, h, n)
     assert A.shape == (n, n)
     assert np.max(np.abs(A - _dense_assembly(ham, mu, h, n))) <= 1e-12
-    if n == 1:
-        # one cell is below inverse_spectral's minimum of two
-        with pytest.raises(DomainError):
-            factor_via_transform(mu, _R, n)
-        return
     A, rep = factor_via_transform(mu, _R, n)
     monkeypatch.setattr(factorize, "_lag_assembly", _dense_assembly)
     A_ref, ref = factor_via_transform(mu, _R, n)

@@ -1,16 +1,19 @@
 """Weyl functions, boundary densities, and the Szego functional."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from canonfactor import (ConvergenceError, DomainError, Hamiltonian,
+from canonfactor import (ConvergenceError, DomainError, Grid, Hamiltonian,
                          SpectralMeasure, boundary_values, constant_weight,
-                         cosine_bump_weight, sampled_weight, sinc_bump_weight,
-                         spectral_density, step_weight, szego_K,
-                         weyl_function, weyl_sweep)
+                         cosine_bump_weight, random_unimodular,
+                         sampled_weight, sinc_bump_weight, spectral_density,
+                         step_weight, szego_K, weyl_function, weyl_sweep)
+from canonfactor import weyl
+from canonfactor.quadrature import gauss_kronrod
 
 
 def test_weyl_diagonal_constant():
@@ -71,6 +74,11 @@ def test_non_finite_z_rejected():
     with pytest.raises(DomainError):
         spectral_density(ham, [np.nan])
     with pytest.raises(DomainError):
+        spectral_density(ham, [0.0, np.inf])
+    with pytest.raises(DomainError):
+        spectral_density(Hamiltonian.constant(np.diag([2.0, 1.0]), 10.0),
+                         [np.nan])
+    with pytest.raises(DomainError):
         boundary_values(ham, [0.0, np.inf])
     # an infinite start or a ratio >= 1 would never end the ladder
     for kw in ({"eps": np.inf}, {"eps": np.nan}, {"ratio": 1.0},
@@ -102,6 +110,116 @@ def test_spectral_density_matches_step_weight(step_mu):
     xs = np.array([-2.5, -0.4, 0.3, 1.8, 3.0])
     w = spectral_density(ham, xs, eps_min=0.3)
     assert np.max(np.abs(w - step_mu(xs)) / step_mu(xs)) < 2e-2
+
+
+def _rough(seed, n_cells=12, span=12.0):
+    """A random Hamiltonian that is not unimodular: random_unimodular
+    cells times random positive factors."""
+    rng = np.random.default_rng(seed)
+    ham = random_unimodular(rng, n_cells, span)
+    factors = np.exp(rng.uniform(-0.7, 0.7, n_cells))[:, None, None]
+    return Hamiltonian(ham.grid, ham.cells * factors)
+
+
+def test_ladder_batch_matches_per_rung_sweeps(monkeypatch):
+    # the ladder sweeps all rungs at once; no cell is cut into substeps
+    # here, so each rung is bit for bit its own sweep
+    ham = _rough(5)
+    assert not ham.unimodular
+    xs = np.linspace(-4.0, 4.0, 17)
+    m0, spread = boundary_values(ham, xs, eps_min=0.3)
+    w = spectral_density(ham, xs, eps_min=0.3)
+    one_sweep = weyl.weyl_sweep
+
+    def per_rung(ham, z, tol):
+        return tuple(np.stack(r) for r in
+                     zip(*(one_sweep(ham, row, tol) for row in z)))
+
+    monkeypatch.setattr(weyl, "weyl_sweep", per_rung)
+    ref_m0, ref_spread = boundary_values(ham, xs, eps_min=0.3)
+    assert np.array_equal(m0, ref_m0)
+    assert np.array_equal(spread, ref_spread)
+    assert np.array_equal(w, spectral_density(ham, xs, eps_min=0.3))
+
+
+# -- density from the endpoint wave -------------------------------------------
+
+def test_wave_density_free_system():
+    ham = Hamiltonian.identity(30.0, 6)
+    xs = np.concatenate([np.linspace(-60.0, 60.0, 241), [1e3, -7e3]])
+    assert np.max(np.abs(spectral_density(ham, xs) - 1.0)) <= 1e-13
+
+
+def test_wave_density_constant_cell():
+    # Theta^T C Theta is conserved on a constant cell, so w = 1/h1
+    for h1, h in ((2.0, 1.0), (0.5, -0.3), (3.0, 0.0)):
+        C = [[h1, h], [h, (1.0 + h * h) / h1]]
+        ham = Hamiltonian.constant(C, span=13.0, n_cells=7)
+        assert ham.unimodular
+        xs = np.linspace(-50.0, 50.0, 201)
+        w = spectral_density(ham, xs)
+        assert np.max(np.abs(w * h1 - 1.0)) <= 1e-13
+        assert spectral_density(ham, 0.7) == pytest.approx(1.0 / h1,
+                                                           rel=1e-13)
+
+
+def test_wave_density_mpmath_oracle():
+    # Theta(R, x) as the product of the cell exponentials
+    # exp(-x width J C), in 40-digit arithmetic
+    J = mpmath.matrix([[0, -1], [1, 0]])
+    for seed, n_cells in ((3, 2), (4, 3)):
+        ham = random_unimodular(np.random.default_rng(seed), n_cells, 5.0)
+        xs = np.array([-31.0, -2.5, 0.0, 0.4, 1.7, 9.0, 120.0])
+        w = spectral_density(ham, xs)
+        for x, wx in zip(xs, w):
+            with mpmath.workdps(40):
+                theta = mpmath.matrix([[1], [0]])
+                for C, width in zip(ham.cells, ham.grid.widths):
+                    G = J * mpmath.matrix(C.tolist())
+                    theta = mpmath.expm(-mpmath.mpf(x) * width * G) * theta
+                C = mpmath.matrix(ham.cells[-1].tolist())
+                ref = float(1 / (theta.T * C * theta)[0])
+            assert abs(wx - ref) <= 1e-13 * ref, (seed, x)
+
+
+def _continued(ham, length):
+    """ham followed by its last cell on [R, R + length]."""
+    nodes = np.append(ham.grid.nodes, ham.grid.span + length)
+    cells = np.concatenate([ham.cells, ham.cells[-1:]])
+    return Hamiltonian(Grid(nodes), cells, unimodular=True)
+
+
+def _poisson_mean(ham, x, eps, T=400.0):
+    """(1/pi) int eps / ((t - x)^2 + eps^2) w(t) dt of the wave density.
+
+    Adaptive Gauss-Kronrod on |t - x| <= T in unit segments; beyond T
+    the kernel's remaining mass times the Hann-windowed mean of w over
+    T/2 < |t - x| < T (w is almost periodic there).
+    """
+    def f(t):
+        w = spectral_density(ham, t)
+        hann = np.sin(2.0 * np.pi * np.abs(t - x) / T) ** 2
+        return np.stack([w * (eps / np.pi) / ((t - x) ** 2 + eps ** 2),
+                         np.where(np.abs(t - x) > T / 2, w * hann, 0.0)])
+
+    edges = np.linspace(x - T, x + T, int(2 * T) + 1)
+    inner, band = gauss_kronrod(f, edges, epsabs=1e-12, epsrel=1e-10)
+    tail = 1.0 - 2.0 / np.pi * np.arctan(T / eps)
+    return inner + tail * band / (T / 2)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 8),
+       span=st.floats(0.5, 10.0), x=st.floats(-3.0, 3.0),
+       eps=st.floats(0.3, 1.0))
+def test_wave_density_poisson_identity(seed, n_cells, span, x, eps):
+    # continued by its last cell over 40/eps, the Weyl disk at x + i eps
+    # shrinks to ~e^{-80}, and Im m(x + i eps) is the Poisson mean of the
+    # density of the continued system
+    ham = random_unimodular(np.random.default_rng(seed), n_cells, span)
+    m, diam = weyl_sweep(_continued(ham, 40.0 / eps),
+                         np.array([x + 1j * eps]), tol=0.0)
+    assert diam[0] <= 1e-12
+    assert abs(_poisson_mean(ham, x, eps) - m[0].imag) <= 1e-4 * m[0].imag
 
 
 # -- Szego functional ----------------------------------------------------------
