@@ -22,8 +22,8 @@ print("\nstep-weight system:")
 for z, m, d in zip(zs, ms, diams):
     print(f"  z = {z:12.3f}  m = {m:22.12f}  disk diameter {d:.1e}")
 
-# the Hamiltonian is unimodular, so its density is read off the wave at
-# the end of the grid: w(x) = 1 / (Theta(R, x)^T H_last Theta(R, x))
+# the density is read off the wave at the end of the grid:
+# w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)), C = H_last
 xs = np.array([0.0, 0.5, 1.5, 3.0])
 w = spectral_density(ham, xs)
 print("\nrecovered density vs the exact step (2 inside [-1,1], 1 outside):")
@@ -31,8 +31,8 @@ for x, wi in zip(xs, w):
     print(f"  x = {x:4.1f}   w = {wi:.4f}")
 
 # Im m(x + i eps) converges to the density as eps -> 0: boundary_values
-# extrapolates m down a ladder of eps values, all in one Weyl sweep.  It
-# keeps the full complex limit; its real part is the conjugate function
+# extrapolates m down a ladder of eps values.  It keeps the full
+# complex limit; its real part is the conjugate function
 m0, spread = boundary_values(ham, xs, eps_min=0.3)
 print(f"\nladder density at x=0.5: {m0[1].imag:.4f}; conjugate function "
       f"{m0[1].real:+.4f} (extrapolation spread {spread[1]:.1e})")

@@ -88,11 +88,6 @@ def _build_parser():
     fw.add_argument("--z", default="", help="comma list of complex z")
     fw.add_argument("--density-grid", default="",
                     help="a:b:n real grid for boundary density samples")
-    fw.add_argument("--eps", type=_positive, default=2.4,
-                    help="Poisson ladder start for density extrapolation; "
-                         "used only for a Hamiltonian that is not "
-                         "unimodular (a unimodular one reads its density "
-                         "off the endpoint wave)")
     fw.add_argument("--out", default="-", help="output file, - for stdout")
 
     wy = sub.add_parser("weyl", help="Weyl function values on a z grid")
@@ -288,7 +283,7 @@ def _cmd_forward(args, out):
         except ValueError as exc:
             raise ConfigError(f"bad density grid {args.density_grid!r}: {exc}")
         xs = np.linspace(a, b, n)
-        dens = spectral_density(ham, xs, eps=args.eps)
+        dens = spectral_density(ham, xs)
         out.write("# x density")
         for x, w in zip(xs, np.atleast_1d(dens)):
             out.write(f"{_fmt(x)} {_fmt(w)}")

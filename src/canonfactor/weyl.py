@@ -7,25 +7,25 @@ as the sweep advances.  Both the radius and the candidate value are
 ratios of same-scaled matrix entries, so per-step renormalization of M
 (needed once Im z * t is large) cancels exactly.
 
-The boundary density of a unimodular Hamiltonian on [0, R] is read off
-the wave at the end of the grid.  Continue H past R by its last cell
-C = H_last.  The continued system has the exact density
+The boundary density of a Hamiltonian on [0, R] is read off the wave at
+the end of the grid.  Continue H past R by its last cell C = H_last.
+Theta^T C Theta is conserved on a constant cell (C J C is antisymmetric),
+and the constant cell alone has density sqrt(det C) / C[0, 0], so the
+continued system has the exact density
 
-    w(x) = 1 / (Theta(R, x)^T C Theta(R, x)),
+    w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)).
 
-which equals 1/|E_R(x)|^2 for the de Branges function E_R = Psi_+ -
-i Psi_-, Psi = sqrt(C) Theta(R, x) (de Branges, *Hilbert Spaces of
-Entire Functions*, 1968; for OPUC it is the Bernstein-Szego
-approximation, Simon, *OPUC* Part 1, 2005).  With det C = 1 no square
-root is needed: Theta^T C Theta = |Psi_+ - i Psi_-|^2 for real x.
-Theta(R, x) comes off one real-arithmetic sweep over the whole grid, and
-its power-of-two scale is put back exactly.
+For det C = 1 this is 1/|E_R(x)|^2 for the de Branges function E_R =
+Psi_+ - i Psi_-, Psi = sqrt(C) Theta(R, x) (de Branges, *Hilbert Spaces
+of Entire Functions*, 1968; for OPUC it is the Bernstein-Szego
+approximation, Simon, *OPUC* Part 1, 2005).  Theta(R, x) comes off one
+real-arithmetic sweep over the whole grid, and its power-of-two scale is
+put back exactly.  A singular last cell has no such density.
 
-Where the wave is not defined (a Hamiltonian that is not unimodular),
-densities are Poisson-smoothed values Im m(x + i*eps) pushed to
-eps -> 0 by polynomial extrapolation along a geometric eps ladder; the
-ladder floor is tied to the certified disk diameter at the grid end.
-All rungs of the ladder share one Weyl sweep.
+``boundary_values`` keeps the complex boundary value m(x + i0):
+Poisson-smoothed values m(x + i*eps) pushed to eps -> 0 by polynomial
+extrapolation along a geometric eps ladder; the ladder floor is tied to
+the certified disk diameter at the grid end.
 
 The Szego functional integrates w - tail and log(w / tail) against the
 Poisson kernel with a batched adaptive Gauss-Kronrod rule: one density
@@ -101,11 +101,8 @@ def boundary_values(ham, x, eps=2.4, ratio=0.75, eps_min=None):
     while ladder[-1] * ratio >= eps_min:
         ladder.append(ladder[-1] * ratio)
 
-    # one sweep for every rung: the scale is per z, and tol = 0 never
-    # stops early, so each row is the sweep of its rung alone wherever
-    # no cell is cut into substeps
-    rungs = np.reshape(ladder, (-1,) + (1,) * x.ndim)
-    tab = list(weyl_sweep(ham, x + 1j * rungs, tol=0.0)[0])
+    tab = [weyl_sweep(ham, x + 1j * e, tol=0.0)[0].astype(complex)
+           for e in ladder]
     n = len(ladder)
     diag = [tab[0].copy()]
     for j in range(1, n):
@@ -121,27 +118,27 @@ def boundary_values(ham, x, eps=2.4, ratio=0.75, eps_min=None):
     return m0, spread
 
 
-def spectral_density(ham, x, eps=2.4, ratio=0.75, eps_min=None):
+def spectral_density(ham, x, eps=None, ratio=None, eps_min=None):
     """Boundary density of ham at the real points x.
 
-    A unimodular Hamiltonian gets the exact density of H continued by its
-    last cell, w(x) = 1 / (Theta(R, x)^T H_last Theta(R, x)), off one
-    real-axis sweep (see the module docstring).  Any other Hamiltonian
-    gets Im m(x + i0) from ``boundary_values``' extrapolated ladder;
-    eps, ratio and eps_min apply to that ladder only.
+    The exact density of H continued past R by its last cell C,
+    w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)), off one
+    real-axis sweep (see the module docstring); DomainError for a
+    singular C.  eps, ratio and eps_min are accepted and ignored: they
+    set the eps ladder of earlier versions, which is ``boundary_values``
+    now.
     """
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    if ham.unimodular:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        for _, state, scale in _sweep(ham, xs.reshape(-1), 1):
-            pass
-        t0, t1 = state[:, 0]
-        C = ham.cells[-1]
-        q = C[0, 0] * t0 * t0 + 2.0 * C[0, 1] * t0 * t1 + C[1, 1] * t1 * t1
-        w = np.ldexp(1.0 / q, -2 * scale).reshape(xs.shape)
-    else:
-        w = np.imag(boundary_values(ham, x, eps=eps, ratio=ratio,
-                                    eps_min=eps_min)[0])
+    det = ham.dets[-1]
+    if not det > 0.0:
+        raise DomainError("density needs a last cell with det > 0")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    for _, state, scale in _sweep(ham, xs.reshape(-1), 1):
+        pass
+    t0, t1 = state[:, 0]
+    C = ham.cells[-1]
+    q = C[0, 0] * t0 * t0 + 2.0 * C[0, 1] * t0 * t1 + C[1, 1] * t1 * t1
+    w = np.ldexp(np.sqrt(det) / q, -2 * scale).reshape(xs.shape)
     return float(w.ravel()[0]) if scalar else w
 
 

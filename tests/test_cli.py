@@ -264,7 +264,7 @@ def fuzz_commands(tmp_path_factory):
     step = "step:inner=2,half_width=1"
     return {
         "forward": ["--hamiltonian", ham, "--times", "1", "--z", "1+0.5j",
-                    "--density-grid", "-1:1:3", "--eps", "2.4"],
+                    "--density-grid", "-1:1:3"],
         "weyl": ["--hamiltonian", ham, "--z", "1j", "--tol-weyl", "1e-10"],
         "szego": ["--weight", step, "--y", "1"],
         "a2": ["--function", fun, "--tail", "0", "--window", "2"],

@@ -59,7 +59,7 @@ def test_round_trip_bump_refines(bump_mu):
     errs = {}
     for n in (128, 256):
         ham = inverse_spectral(bump_mu, 20.0, n)
-        w = spectral_density(ham, xs, eps_min=0.3)
+        w = spectral_density(ham, xs)
         errs[n] = float(np.max(np.abs(w - truth) / truth))
     assert errs[256] < 1e-3
     assert errs[128] / errs[256] > 1.5
@@ -70,7 +70,7 @@ def test_round_trip_step_weight(step_mu):
     # not, leaving the grid as the limiting error (~4e-3 here)
     ham = inverse_spectral(step_mu, 16.0, 192)
     xs = np.array([0.0, 0.5, 2.0])
-    w = spectral_density(ham, xs, eps_min=0.3)
+    w = spectral_density(ham, xs)
     assert np.max(np.abs(w - step_mu(xs)) / step_mu(xs)) < 1e-2
 
 

@@ -12,7 +12,6 @@ from canonfactor import (ConvergenceError, DomainError, Grid, Hamiltonian,
                          cosine_bump_weight, random_unimodular,
                          sampled_weight, sinc_bump_weight, spectral_density,
                          step_weight, szego_K, weyl_function, weyl_sweep)
-from canonfactor import weyl
 from canonfactor.quadrature import gauss_kronrod
 
 
@@ -108,38 +107,8 @@ def test_spectral_density_matches_step_weight(step_mu):
     from canonfactor import inverse_spectral
     ham = inverse_spectral(step_mu, 12.0, 192)
     xs = np.array([-2.5, -0.4, 0.3, 1.8, 3.0])
-    w = spectral_density(ham, xs, eps_min=0.3)
+    w = spectral_density(ham, xs)
     assert np.max(np.abs(w - step_mu(xs)) / step_mu(xs)) < 2e-2
-
-
-def _rough(seed, n_cells=12, span=12.0):
-    """A random Hamiltonian that is not unimodular: random_unimodular
-    cells times random positive factors."""
-    rng = np.random.default_rng(seed)
-    ham = random_unimodular(rng, n_cells, span)
-    factors = np.exp(rng.uniform(-0.7, 0.7, n_cells))[:, None, None]
-    return Hamiltonian(ham.grid, ham.cells * factors)
-
-
-def test_ladder_batch_matches_per_rung_sweeps(monkeypatch):
-    # the ladder sweeps all rungs at once; no cell is cut into substeps
-    # here, so each rung is bit for bit its own sweep
-    ham = _rough(5)
-    assert not ham.unimodular
-    xs = np.linspace(-4.0, 4.0, 17)
-    m0, spread = boundary_values(ham, xs, eps_min=0.3)
-    w = spectral_density(ham, xs, eps_min=0.3)
-    one_sweep = weyl.weyl_sweep
-
-    def per_rung(ham, z, tol):
-        return tuple(np.stack(r) for r in
-                     zip(*(one_sweep(ham, row, tol) for row in z)))
-
-    monkeypatch.setattr(weyl, "weyl_sweep", per_rung)
-    ref_m0, ref_spread = boundary_values(ham, xs, eps_min=0.3)
-    assert np.array_equal(m0, ref_m0)
-    assert np.array_equal(spread, ref_spread)
-    assert np.array_equal(w, spectral_density(ham, xs, eps_min=0.3))
 
 
 # -- density from the endpoint wave -------------------------------------------
@@ -151,7 +120,8 @@ def test_wave_density_free_system():
 
 
 def test_wave_density_constant_cell():
-    # Theta^T C Theta is conserved on a constant cell, so w = 1/h1
+    # Theta^T C Theta is conserved on a constant cell, so w = 1/h1 when
+    # det C = 1, and w = sqrt(det C)/h1 for any det C > 0
     for h1, h in ((2.0, 1.0), (0.5, -0.3), (3.0, 0.0)):
         C = [[h1, h], [h, (1.0 + h * h) / h1]]
         ham = Hamiltonian.constant(C, span=13.0, n_cells=7)
@@ -161,14 +131,37 @@ def test_wave_density_constant_cell():
         assert np.max(np.abs(w * h1 - 1.0)) <= 1e-13
         assert spectral_density(ham, 0.7) == pytest.approx(1.0 / h1,
                                                            rel=1e-13)
+    for C in ([[2.0, 0.0], [0.0, 1.0]], [[0.4, 0.5], [0.5, 3.0]]):
+        ham = Hamiltonian.constant(C, span=10.0, n_cells=3)
+        assert not ham.unimodular
+        exact = np.sqrt(np.linalg.det(C)) / C[0][0]
+        w = spectral_density(ham, np.linspace(-20.0, 20.0, 81))
+        assert np.max(np.abs(w / exact - 1.0)) <= 1e-13
+
+
+def test_wave_density_singular_last_cell():
+    cells = [np.eye(2), [[1.0, 0.0], [0.0, 0.0]]]
+    ham = Hamiltonian(Grid([0.0, 1.0, 2.0]), cells)
+    with pytest.raises(DomainError, match="det > 0"):
+        spectral_density(ham, [0.0, 1.0])
+
+
+def _scaled(ham, rng):
+    """ham with each cell times a random factor in [e^-0.7, e^0.7]."""
+    f = np.exp(rng.uniform(-0.7, 0.7, ham.grid.n_cells))[:, None, None]
+    return Hamiltonian(ham.grid, ham.cells * f)
 
 
 def test_wave_density_mpmath_oracle():
     # Theta(R, x) as the product of the cell exponentials
     # exp(-x width J C), in 40-digit arithmetic
     J = mpmath.matrix([[0, -1], [1, 0]])
-    for seed, n_cells in ((3, 2), (4, 3)):
-        ham = random_unimodular(np.random.default_rng(seed), n_cells, 5.0)
+    for seed, n_cells, scaled in ((3, 2, False), (4, 3, False),
+                                  (5, 3, True)):
+        rng = np.random.default_rng(seed)
+        ham = random_unimodular(rng, n_cells, 5.0)
+        if scaled:
+            ham = _scaled(ham, rng)
         xs = np.array([-31.0, -2.5, 0.0, 0.4, 1.7, 9.0, 120.0])
         w = spectral_density(ham, xs)
         for x, wx in zip(xs, w):
@@ -178,7 +171,8 @@ def test_wave_density_mpmath_oracle():
                     G = J * mpmath.matrix(C.tolist())
                     theta = mpmath.expm(-mpmath.mpf(x) * width * G) * theta
                 C = mpmath.matrix(ham.cells[-1].tolist())
-                ref = float(1 / (theta.T * C * theta)[0])
+                ref = float(mpmath.sqrt(mpmath.det(C))
+                            / (theta.T * C * theta)[0])
             assert abs(wx - ref) <= 1e-13 * ref, (seed, x)
 
 
@@ -186,7 +180,7 @@ def _continued(ham, length):
     """ham followed by its last cell on [R, R + length]."""
     nodes = np.append(ham.grid.nodes, ham.grid.span + length)
     cells = np.concatenate([ham.cells, ham.cells[-1:]])
-    return Hamiltonian(Grid(nodes), cells, unimodular=True)
+    return Hamiltonian(Grid(nodes), cells, unimodular=ham.unimodular)
 
 
 def _poisson_mean(ham, x, eps, T=400.0):
@@ -210,12 +204,15 @@ def _poisson_mean(ham, x, eps, T=400.0):
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 8),
        span=st.floats(0.5, 10.0), x=st.floats(-3.0, 3.0),
-       eps=st.floats(0.3, 1.0))
-def test_wave_density_poisson_identity(seed, n_cells, span, x, eps):
+       eps=st.floats(0.3, 1.0), scaled=st.booleans())
+def test_wave_density_poisson_identity(seed, n_cells, span, x, eps, scaled):
     # continued by its last cell over 40/eps, the Weyl disk at x + i eps
-    # shrinks to ~e^{-80}, and Im m(x + i eps) is the Poisson mean of the
-    # density of the continued system
-    ham = random_unimodular(np.random.default_rng(seed), n_cells, span)
+    # shrinks below 1e-12, and Im m(x + i eps) is the Poisson mean of the
+    # density of the continued system; scaled cells are not unimodular
+    rng = np.random.default_rng(seed)
+    ham = random_unimodular(rng, n_cells, span)
+    if scaled:
+        ham = _scaled(ham, rng)
     m, diam = weyl_sweep(_continued(ham, 40.0 / eps),
                          np.array([x + 1j * eps]), tol=0.0)
     assert diam[0] <= 1e-12
