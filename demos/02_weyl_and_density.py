@@ -30,12 +30,15 @@ print("\nrecovered density vs the exact step (2 inside [-1,1], 1 outside):")
 for x, wi in zip(xs, w):
     print(f"  x = {x:4.1f}   w = {wi:.4f}")
 
-# Im m(x + i eps) converges to the density as eps -> 0: boundary_values
-# extrapolates m down a ladder of eps values.  It keeps the full
-# complex limit; its real part is the conjugate function
-m0, spread = boundary_values(ham, xs, eps_min=0.3)
-print(f"\nladder density at x=0.5: {m0[1].imag:.4f}; conjugate function "
-      f"{m0[1].real:+.4f} (extrapolation spread {spread[1]:.1e})")
+# the same sweep gives the whole boundary value of the continued system,
+# m(x + i0) = (Phi^T C Theta + i sqrt(det C)) / (Theta^T C Theta): its
+# imaginary part is the density above, its real part the conjugate
+# function, for the step (1/pi) log|(1 - x)/(1 + x)|
+m0 = boundary_values(ham, xs)
+print("\nboundary value m(x + i0) vs the exact conjugate function:")
+for x, m in zip(xs, m0):
+    exact = np.log(abs((1.0 - x) / (1.0 + x))) / np.pi
+    print(f"  x = {x:4.1f}   m0 = {m:.4f}   (expect real part {exact:+.4f})")
 
 # duality: the dual Hamiltonian swaps the diagonal and flips the sign
 # of the off-diagonal entries, and its Weyl function is -1/m

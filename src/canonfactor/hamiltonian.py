@@ -58,7 +58,7 @@ class Grid:
 
     def cell_index(self, t):
         """Index of the cell containing t (last cell closed on the right)."""
-        if t < 0 or t > self.nodes[-1]:
+        if not (0 <= t <= self.nodes[-1]):
             raise DomainError(f"t = {t} outside grid [0, {self.nodes[-1]}]")
         k = int(np.searchsorted(self.nodes, t, side="right") - 1)
         return min(k, self.n_cells - 1)

@@ -187,24 +187,21 @@ def _certified_extremes(col):
 
 
 def _cells_from_wave(p):
-    """Per-cell sqrt(H) from wave values at x = 0, then H = S @ S.
+    """Per-cell H = diag(p^2, 1/p^2) from the real wave values p at x = 0.
 
-    p[i] = a11 - i*a21 of sqrt(H) on cell i; a22 completes det = 1, which
-    is the det-normalization gauge (no further rescaling needed).
+    p is the (1, 1) entry of the diagonal sqrt(H) on each cell; its
+    (2, 2) entry 1/p completes det = 1, which is the det-normalization
+    gauge (no further rescaling needed).
     """
-    a11 = np.real(p)
-    a12 = -np.imag(p)
-    if np.any(a11 <= 0):
+    if np.any(p <= 0):
         raise SpectralPositivityError(
             "recovered wave has a nonpositive diagonal entry; the weight "
             "data is inconsistent with a positive definite kernel")
-    a22 = (1.0 + a12 * a12) / a11
-    S = np.empty((len(p), 2, 2))
-    S[:, 0, 0] = a11
-    S[:, 0, 1] = a12
-    S[:, 1, 0] = a12
-    S[:, 1, 1] = a22
-    return S @ S
+    q = 1.0 / p
+    H = np.zeros((len(p), 2, 2))
+    H[:, 0, 0] = p * p
+    H[:, 1, 1] = q * q
+    return H
 
 
 def wave_values_at_zero(mu, R, N):
@@ -260,7 +257,7 @@ def inverse_spectral(mu, R, N, report=False):
     # cell is the unbiased midpoint value; it restores second-order
     # round-trip accuracy where either sample alone is first-order.
     p = 0.5 * (y[0::2] + y[1::2])
-    cells = _cells_from_wave(p.astype(complex))
+    cells = _cells_from_wave(p)
     grid = Grid(np.linspace(0.0, float(R), N + 1))
     ham = Hamiltonian(grid, cells, unimodular=True)
     if report:

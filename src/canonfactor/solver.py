@@ -155,7 +155,7 @@ def transfer_matrix(ham, t, z):
     t must lie inside the grid.  z may be a scalar or an array.  Raises
     DomainError where an entry of M(t, z) is beyond double range.
     """
-    if t < 0 or t > ham.grid.span + 1e-12 * max(1.0, ham.grid.span):
+    if not (0 <= t <= ham.grid.span + 1e-12 * max(1.0, ham.grid.span)):
         raise DomainError(f"t = {t} outside grid span [0, {ham.grid.span}]")
     t = min(t, ham.grid.span)
     z = np.asarray(z, dtype=complex)
@@ -175,7 +175,7 @@ def j_energy_residual(ham, r, z):
     below 1e-10; Theta at the quadrature nodes is one in-cell propagator
     applied to Theta at the cell start.  Returns |LHS - RHS|.
     """
-    if r < 0 or r > ham.grid.span:
+    if not (0 <= r <= ham.grid.span):
         raise DomainError(f"r = {r} outside grid span")
     z = np.array([complex(z)])
     _, states, scales = zip(*_sweep(ham, z, 1, r))

@@ -75,7 +75,7 @@ def wave_amplitudes(ham, z, t_max=None):
     if t_max is None:
         k_use = ham.grid.n_cells
     else:
-        if t_max > 2.0 * ham.grid.span + 1e-12:
+        if not (t_max <= 2.0 * ham.grid.span + 1e-12):
             raise DomainError(
                 f"wave time {t_max:g} beyond 2*span = {2 * ham.grid.span:g}")
         k_use = max(1, int(np.searchsorted(nodes[:-1], t_max / 2.0,
@@ -94,7 +94,7 @@ def krein_wave(ham, t, z):
     ``wave_amplitudes``, c the cell holding t/2: right-continuous at the
     wave nodes, where sqrt(H) jumps, and the last cell at t = 2 * span."""
     t = float(t)
-    if t < 0 or t > 2.0 * ham.grid.span:
+    if not (0 <= t <= 2.0 * ham.grid.span):
         raise DomainError(f"t = {t:g} outside [0, {2 * ham.grid.span:g}]")
     z = complex(z)
     c = ham.grid.cell_index(t / 2.0)
@@ -112,7 +112,7 @@ def reproducing_kernel(ham, r, z, lam):
     lam)> / (pi (z - conj lam)), with the removable singularity at
     z = conj(lam) filled by a Richardson central difference.
     """
-    if r <= 0 or r > 2.0 * ham.grid.span:
+    if not (0 < r <= 2.0 * ham.grid.span):
         raise DomainError(f"r = {r:g} outside (0, {2 * ham.grid.span:g}]")
     z, lam = complex(z), complex(lam)
     lbar = np.conj(lam)

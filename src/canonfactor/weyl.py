@@ -1,4 +1,4 @@
-"""Weyl function, boundary spectral density, and the Szego functional.
+"""Weyl function, boundary values and density, and the Szego functional.
 
 The half-line limit m(z) = lim Phi^-/Theta^- is certified through the
 nested Weyl disks: at each grid node the candidate values fill a disk of
@@ -7,25 +7,24 @@ as the sweep advances.  Both the radius and the candidate value are
 ratios of same-scaled matrix entries, so per-step renormalization of M
 (needed once Im z * t is large) cancels exactly.
 
-The boundary density of a Hamiltonian on [0, R] is read off the wave at
-the end of the grid.  Continue H past R by its last cell C = H_last.
-Theta^T C Theta is conserved on a constant cell (C J C is antisymmetric),
-and the constant cell alone has density sqrt(det C) / C[0, 0], so the
-continued system has the exact density
+The boundary values of a Hamiltonian on [0, R] are read off the wave at
+the end of the grid.  Continue H past R by its last cell
+C = [[a, b], [b, c]], d = sqrt(det C).  Past R the L2 solution
+m Theta - Phi lies along v = (c, -b + i d), the eigenvector of J C for
+-i d, so m = (Phi x v) / (Theta x v); with |Theta x v|^2 =
+c Theta^T C Theta and det M = 1 this is
 
-    w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)).
+    m(x + i0) = (Phi^T C Theta + i d) / (Theta^T C Theta),
 
-For det C = 1 this is 1/|E_R(x)|^2 for the de Branges function E_R =
-Psi_+ - i Psi_-, Psi = sqrt(C) Theta(R, x) (de Branges, *Hilbert Spaces
-of Entire Functions*, 1968; for OPUC it is the Bernstein-Szego
-approximation, Simon, *OPUC* Part 1, 2005).  Theta(R, x) comes off one
-real-arithmetic sweep over the whole grid, and its power-of-two scale is
-put back exactly.  A singular last cell has no such density.
-
-``boundary_values`` keeps the complex boundary value m(x + i0):
-Poisson-smoothed values m(x + i*eps) pushed to eps -> 0 by polynomial
-extrapolation along a geometric eps ladder; the ladder floor is tied to
-the certified disk diameter at the grid end.
+Theta, Phi the columns of M(R, x).  Its imaginary part, the density
+w(x) = d / (Theta^T C Theta), is 1/|E_R(x)|^2 for det C = 1 and the de
+Branges function E_R = Psi_+ - i Psi_-, Psi = sqrt(C) Theta(R, x) (de
+Branges, *Hilbert Spaces of Entire Functions*, 1968; for OPUC it is the
+Bernstein-Szego approximation, Simon, *OPUC* Part 1, 2005).  M(R, x)
+comes off one real-arithmetic sweep over the whole grid: the real part
+is a ratio of same-scaled entries, and the density has the power-of-two
+scale put back exactly.  A singular last cell has no such boundary
+value.
 
 The Szego functional integrates w - tail and log(w / tail) against the
 Poisson kernel with a batched adaptive Gauss-Kronrod rule: one density
@@ -80,66 +79,43 @@ def weyl_function(ham, z, tol=1e-12):
     return complex(m.ravel()[0]) if scalar else m
 
 
-def boundary_values(ham, x, eps=2.4, ratio=0.75, eps_min=None):
-    """Extrapolate m(x + i*eps) to the real axis along a geometric ladder.
+def boundary_values(ham, x):
+    """Boundary value m(x + i0) of ham at the real points x.
 
-    Returns (m0, spread): the extrapolated boundary value and the size of
-    the extrapolation step at which the diagonal stabilized (a stability
-    indicator, not a rigorous bound).  eps_min defaults to 3/span, where
-    the certified disk diameter at the grid end is ~e^{-6}.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    span = ham.grid.span
-    if eps_min is None:
-        eps_min = 3.0 / span
-    if not (np.isfinite(eps) and 0.0 < ratio < 1.0):
-        # either would grow the ladder without end
-        raise DomainError("ladder needs a finite eps and 0 < ratio < 1")
-    if eps <= eps_min:
-        raise DomainError("ladder start eps must exceed the eps_min floor")
-    ladder = [float(eps)]
-    while ladder[-1] * ratio >= eps_min:
-        ladder.append(ladder[-1] * ratio)
-
-    tab = [weyl_sweep(ham, x + 1j * e, tol=0.0)[0].astype(complex)
-           for e in ladder]
-    n = len(ladder)
-    diag = [tab[0].copy()]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            ei, eij = ladder[i], ladder[i - j]
-            tab[i] = (eij * tab[i] - ei * tab[i - 1]) / (eij - ei)
-        diag.append(tab[j].copy())
-    diag = np.stack(diag)                       # (n, nx)
-    steps = np.abs(np.diff(diag, axis=0))       # (n-1, nx)
-    pick = np.argmin(steps, axis=0) + 1
-    m0 = np.take_along_axis(diag, pick[None, :], axis=0)[0]
-    spread = np.take_along_axis(steps, (pick - 1)[None, :], axis=0)[0]
-    return m0, spread
-
-
-def spectral_density(ham, x, eps=None, ratio=None, eps_min=None):
-    """Boundary density of ham at the real points x.
-
-    The exact density of H continued past R by its last cell C,
-    w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)), off one
-    real-axis sweep (see the module docstring); DomainError for a
-    singular C.  eps, ratio and eps_min are accepted and ignored: they
-    set the eps ladder of earlier versions, which is ``boundary_values``
-    now.
+    The exact value for H continued past R by its last cell C,
+    m = (Phi^T C Theta + i sqrt(det C)) / (Theta^T C Theta) with
+    Theta, Phi = M(R, x), off one real-axis sweep (see the module
+    docstring); DomainError for a singular C.  The real part is the
+    conjugate function, the imaginary part the density.
     """
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     det = ham.dets[-1]
     if not det > 0.0:
-        raise DomainError("density needs a last cell with det > 0")
+        raise DomainError("boundary values need a last cell with det > 0")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    for _, state, scale in _sweep(ham, xs.reshape(-1), 1):
+    for _, state, scale in _sweep(ham, xs.reshape(-1), 2):
         pass
-    t0, t1 = state[:, 0]
+    (t0, f0), (t1, f1) = state
     C = ham.cells[-1]
     q = C[0, 0] * t0 * t0 + 2.0 * C[0, 1] * t0 * t1 + C[1, 1] * t1 * t1
-    w = np.ldexp(np.sqrt(det) / q, -2 * scale).reshape(xs.shape)
-    return float(w.ravel()[0]) if scalar else w
+    r = (f0 * (C[0, 0] * t0 + C[0, 1] * t1)
+         + f1 * (C[0, 1] * t0 + C[1, 1] * t1))
+    # Im m from d / q with the scale put back, not from the Moebius ratio
+    # (Phi x v) / (Theta x v): that loses Im m once it is far below |Re m|
+    m = np.empty(xs.size, dtype=complex)
+    m.real, m.imag = r / q, np.ldexp(np.sqrt(det) / q, -2 * scale)
+    return complex(m[0]) if scalar else m.reshape(xs.shape)
+
+
+def spectral_density(ham, x, eps=None, ratio=None, eps_min=None):
+    """Boundary density of ham at the real points x: Im ``boundary_values``.
+
+    w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)), the exact
+    density of H continued past R by its last cell C; DomainError for a
+    singular C.  eps, ratio and eps_min are accepted and ignored: they
+    set the eps ladder of earlier versions.
+    """
+    return boundary_values(ham, x).imag
 
 
 # -- Szego functional ---------------------------------------------------------

@@ -79,11 +79,6 @@ def test_non_finite_z_rejected():
                          [np.nan])
     with pytest.raises(DomainError):
         boundary_values(ham, [0.0, np.inf])
-    # an infinite start or a ratio >= 1 would never end the ladder
-    for kw in ({"eps": np.inf}, {"eps": np.nan}, {"ratio": 1.0},
-               {"ratio": 0.0}):
-        with pytest.raises(DomainError, match="ladder"):
-            boundary_values(ham, [0.0], **kw)
 
 
 def test_herglotz_b_residual_decays():
@@ -97,10 +92,47 @@ def test_herglotz_b_residual_decays():
 
 def test_boundary_values_free_system():
     ham = Hamiltonian.identity(30.0, 6)
-    xs = np.linspace(-2.0, 2.0, 9)
-    m0, spread = boundary_values(ham, xs)
-    assert np.max(np.abs(m0 - 1j)) < 1e-8
-    assert np.max(spread) < 1e-8
+    xs = np.concatenate([np.linspace(-60.0, 60.0, 241), [1e3, -7e3]])
+    assert np.max(np.abs(boundary_values(ham, xs) - 1j)) <= 1e-13
+    assert boundary_values(ham, 0.3) == pytest.approx(1j, abs=1e-13)
+
+
+def test_boundary_values_constant_cell():
+    # Phi^T C Theta and Theta^T C Theta are conserved on a constant cell,
+    # so m = (b + i sqrt(det C)) / a for C = [[a, b], [b, c]]
+    for C in ([[2.0, 1.0], [1.0, 1.0]], [[0.5, -0.3], [-0.3, 2.18]],
+              [[2.0, 0.0], [0.0, 1.0]], [[0.4, 0.5], [0.5, 3.0]],
+              [[30.0, -4.0], [-4.0, 0.6]]):
+        (a, b), (_, c) = C
+        exact = (b + 1j * np.sqrt(a * c - b * b)) / a
+        ham = Hamiltonian.constant(C, span=10.0, n_cells=3)
+        m = boundary_values(ham, np.linspace(-20.0, 20.0, 81))
+        assert np.max(np.abs(m / exact - 1.0)) <= 1e-13
+
+
+def test_density_is_imaginary_part_of_boundary_value():
+    rng = np.random.default_rng(8)
+    for scaled in (False, True):
+        ham = random_unimodular(rng, 6, 4.0)
+        if scaled:
+            ham = _scaled(ham, rng)
+        xs = rng.uniform(-40.0, 40.0, 25)
+        assert np.array_equal(boundary_values(ham, xs).imag,
+                              spectral_density(ham, xs))
+        assert boundary_values(ham, 1.5).imag == spectral_density(ham, 1.5)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 8),
+       span=st.floats(0.5, 10.0), x=st.floats(-50.0, 50.0),
+       scaled=st.booleans())
+def test_boundary_values_duality(seed, n_cells, span, x, scaled):
+    # the dual Hamiltonian has m_dual = -1/m, also on the real axis
+    rng = np.random.default_rng(seed)
+    ham = random_unimodular(rng, n_cells, span)
+    if scaled:
+        ham = _scaled(ham, rng)
+    m = boundary_values(ham, x)
+    assert abs(m * boundary_values(ham.dual(), x) + 1.0) <= 1e-12
 
 
 def test_spectral_density_matches_step_weight(step_mu):
@@ -144,6 +176,8 @@ def test_wave_density_singular_last_cell():
     ham = Hamiltonian(Grid([0.0, 1.0, 2.0]), cells)
     with pytest.raises(DomainError, match="det > 0"):
         spectral_density(ham, [0.0, 1.0])
+    with pytest.raises(DomainError, match="det > 0"):
+        boundary_values(ham, 0.5)
 
 
 def _scaled(ham, rng):
@@ -153,7 +187,7 @@ def _scaled(ham, rng):
 
 
 def test_wave_density_mpmath_oracle():
-    # Theta(R, x) as the product of the cell exponentials
+    # M(R, x) = (Theta, Phi) as the product of the cell exponentials
     # exp(-x width J C), in 40-digit arithmetic
     J = mpmath.matrix([[0, -1], [1, 0]])
     for seed, n_cells, scaled in ((3, 2, False), (4, 3, False),
@@ -164,16 +198,21 @@ def test_wave_density_mpmath_oracle():
             ham = _scaled(ham, rng)
         xs = np.array([-31.0, -2.5, 0.0, 0.4, 1.7, 9.0, 120.0])
         w = spectral_density(ham, xs)
-        for x, wx in zip(xs, w):
+        m = boundary_values(ham, xs)
+        for x, wx, mx in zip(xs, w, m):
             with mpmath.workdps(40):
-                theta = mpmath.matrix([[1], [0]])
+                M = mpmath.eye(2)
                 for C, width in zip(ham.cells, ham.grid.widths):
                     G = J * mpmath.matrix(C.tolist())
-                    theta = mpmath.expm(-mpmath.mpf(x) * width * G) * theta
+                    M = mpmath.expm(-mpmath.mpf(x) * width * G) * M
+                theta, phi = M[:, 0], M[:, 1]
                 C = mpmath.matrix(ham.cells[-1].tolist())
-                ref = float(mpmath.sqrt(mpmath.det(C))
-                            / (theta.T * C * theta)[0])
+                q = (theta.T * C * theta)[0]
+                d = mpmath.sqrt(mpmath.det(C))
+                ref = float(d / q)
+                ref_m = complex(((phi.T * C * theta)[0] + 1j * d) / q)
             assert abs(wx - ref) <= 1e-13 * ref, (seed, x)
+            assert abs(mx - ref_m) <= 1e-12 * abs(ref_m), (seed, x)
 
 
 def _continued(ham, length):
