@@ -5,8 +5,8 @@ Weights: entropy functionals, accelerants, and A2 characteristics
 
 import numpy as np
 
-from canonfactor import (HalfLineFunction, a2_classical, a2_ell1,
-                         accelerant_from_weight, decompose_L1_L2,
+from canonfactor import (HalfLineFunction, SpectralMeasure, a2_classical,
+                         a2_ell1, accelerant_from_weight, decompose_L1_L2,
                          lemma2_harness, norm_L1, norm_L2, step_weight,
                          szego_K)
 
@@ -22,12 +22,15 @@ q = (2.0 / np.pi) * np.arctan(0.5)
 print(f"K(step, 2i) = {szego_K(mu, 2j):.12f}")
 print(f"closed form = {np.log(1.0 + q) - q * np.log(2.0):.12f}")
 
-# the accelerant of the step is a scaled sinc; compare the tabulated
-# numeric kernel of a weight with no stored closed form
-acc = accelerant_from_weight(mu, 4.0, 9)
-ts = acc.times[1:]
-print("\naccelerant of the step vs sin(t)/(pi t):")
-print(np.max(np.abs(acc.values[1:] - np.sin(ts) / (np.pi * ts))))
+# the accelerant of the step is a scaled sinc; the same step given only
+# by its density has no stored closed form, so its k is the numeric
+# kernel, evaluated at exactly the times asked for
+plain = SpectralMeasure(mu, mu.c1, mu.c2, tail=1.0, window=1.0,
+                        breakpoints=mu.breakpoints)
+ts = np.linspace(0.5, 4.0, 8)
+print("\nnumeric accelerant of the step vs sin(t)/(pi t):")
+print(np.max(np.abs(accelerant_from_weight(plain, ts)
+                    - np.sin(ts) / (np.pi * ts))))
 
 # half-line functions: split into an L1 part and an L2 part achieving
 # the infimal sum of norms

@@ -49,7 +49,6 @@ _EXPORTS = {
     "read_weight": ".measures",
     "write_weight": ".measures",
     # accelerants
-    "Accelerant": ".accelerant",
     "truncate_weight": ".accelerant",
     "accelerant_from_weight": ".accelerant",
     # inverse spectral problem

@@ -3,10 +3,11 @@
 k(t) = (1/2pi) int (w(x) - 1) e^{-ixt} dx, so w - 1 must be integrable;
 weights with tail != 1 go through truncate_weight first.  All desk
 weights are even, making k real and even; odd weights are rejected
-rather than half-supported.  An Accelerant evaluates the weight's
-closed form where it has one, which also carries any band limit (the
-sinc bump's hat vanishes beyond 2B), and interpolates its samples
-otherwise.
+rather than half-supported.  k is evaluated at exactly the times asked
+for: from the weight's closed form where it has one, which also carries
+any band limit (the sinc bump's hat vanishes beyond 2B), and by panel
+quadrature of w - 1 otherwise.  This module is the one place a weight
+becomes the first column of its discrete Wiener-Hopf matrix.
 """
 
 import numpy as np
@@ -36,28 +37,6 @@ def truncate_weight(mu, j):
     return out
 
 
-class Accelerant:
-    """Sampled kernel on [0, R] plus an optional closed form."""
-
-    def __init__(self, times, values, closed_form=None):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValidationError("times/values must be matching 1-d arrays")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValidationError("times must start at 0, strictly increase")
-        self.times = times
-        self.values = values
-        self.closed_form = closed_form
-
-    def __call__(self, t):
-        """k(t), even in t; closed form when known, else interpolation."""
-        t = np.abs(np.asarray(t, dtype=float))
-        if self.closed_form is not None:
-            return np.asarray(self.closed_form(t), dtype=float)
-        return np.interp(t, self.times, self.values)
-
-
 def _check_even(mu):
     probe = np.array([0.37, 1.21, 2.9, mu.window * 0.63 + 0.11])
     if not np.allclose(mu(probe), mu(-probe), rtol=0, atol=1e-12):
@@ -74,7 +53,7 @@ def _numeric_kernel(mu, times):
     if mu.tail_bound is not None:
         while mu.tail_deviation(X) * X > 1e-10 and X < 1e6:
             X *= 2.0
-    t_max = max(times[-1], 1.0)
+    t_max = max(np.max(times, initial=0.0), 1.0)
     # ~6 nodes per period of the fastest oscillation
     n_panels = int(np.ceil(X * t_max / np.pi)) + len(mu.breakpoints) + 4
     edges = np.unique(np.concatenate([
@@ -84,25 +63,30 @@ def _numeric_kernel(mu, times):
     nodes = nodes.ravel()
     dev = (np.asarray(mu(nodes), dtype=float) - 1.0) * wq.ravel()
     # all sample times at once: values[m] = (1/pi) sum dev * cos(x * t_m)
-    return (np.cos(np.outer(times, nodes)) @ dev) / np.pi
+    return (np.cos(np.multiply.outer(times, nodes)) @ dev) / np.pi
 
 
-def accelerant_from_weight(mu, R, M):
-    """Sample k at M uniform points on [0, R]; closed form when available."""
+def accelerant_from_weight(mu, t):
+    """k(t) at the given times: the weight's closed form when it has one,
+    zero for w = 1, and the numeric kernel otherwise."""
     mu.require_numeric()
-    if R <= 0 or M < 2:
-        raise DomainError("need R > 0 and at least two sample points")
-    times = np.linspace(0.0, float(R), int(M))
+    t = np.abs(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("accelerant times must be finite")
     if mu.is_constant:
         if mu.tail != 1.0:
             raise DomainError(
                 "w - 1 is not integrable for constant w != 1; truncate first")
-        return Accelerant(times, np.zeros_like(times),
-                          closed_form=lambda t: np.zeros_like(
-                              np.asarray(t, dtype=float)))
+        return np.zeros_like(t)
     closed = mu.closed_form_accelerant()
     if closed is not None:
-        return Accelerant(times, np.asarray(closed(times), dtype=float),
-                          closed_form=closed)
+        return np.asarray(closed(t), dtype=float)
     _check_even(mu)
-    return Accelerant(times, _numeric_kernel(mu, times))
+    return _numeric_kernel(mu, t)
+
+
+def _toeplitz_column(mu, h, n):
+    """First column of the discrete Wiener-Hopf matrix I + h k((j-l) h)."""
+    col = h * accelerant_from_weight(mu, h * np.arange(n))
+    col[0] += 1.0
+    return col

@@ -10,9 +10,11 @@ matrix of the sampled exponentials e_j = sqrt(h/2pi) e^{i x t_j},
 t_j = j h, in L2(w dx) over the Nyquist window |x| <= pi/h, up to
 aliasing.  The upper factor is assembled by pairing the exponentials
 against sampled waves of the Hamiltonian recovered from w, and is
-compared against a direct Cholesky oracle.  The extreme eigenvalues of
-W come from the O(n^2) certified brackets of the inverse layer, so the
-dense W serves only the Cholesky oracle and the factor residual.
+compared against a direct Cholesky oracle.  The factor forms the dense
+W from the Toeplitz column of ``accelerant`` for the oracle and the
+residual alone, and reads every 2-norm of its report off a symmetric
+eigensolve of a matrix it already holds.  ``build_toeplitz`` adds the
+certified extremes of W, from the O(n^2) brackets of the inverse layer.
 
 The pairing depends on i and j only through the lag j - i once the wave
 amplitudes of row i are known, and its quadrature nodes sit on uniform
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .accelerant import accelerant_from_weight
+from .accelerant import _toeplitz_column
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .inverse import _certified_extremes, _toeplitz_column, inverse_spectral
+from .inverse import _certified_extremes, inverse_spectral
 from .quadrature import gauss_legendre
 from .tables import read_table, write_table
 from .transform import _amplitude_rows
@@ -60,18 +62,24 @@ class DiscreteWienerHopf:
         return self.max_eig / self.min_eig
 
 
+def _check_size(n, length, name):
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    if not (0 < length < np.inf):
+        raise ValidationError(f"{name} must be positive and finite, "
+                              f"got {length}")
+
+
 def build_toeplitz(mu, n, h):
     """Discrete Wiener-Hopf matrix of the weight mu at step h, size n."""
     mu.require_numeric()
-    if n < 1 or h <= 0:
-        raise ValidationError("need n >= 1 and h > 0")
+    _check_size(n, h, "h")
     if mu.is_constant:
         c = mu.tail
         W = c * np.eye(n)
         lo = hi = c
     else:
-        kern = accelerant_from_weight(mu, (n - 1) * h if n > 1 else h, max(n, 2))
-        col = _toeplitz_column(kern, h, n)
+        col = _toeplitz_column(mu, h, n)
         lo, hi = map(float, _certified_extremes(col))
         W = toeplitz(col)
     if lo <= 0.0:
@@ -81,10 +89,10 @@ def build_toeplitz(mu, n, h):
     return DiscreteWienerHopf(n, float(h), W, (mu.c1, mu.c2), lo, hi)
 
 
-def cholesky_oracle(wh):
+def cholesky_oracle(W):
     """Lower Cholesky factor of the discrete matrix, W = L L^T."""
     try:
-        return np.linalg.cholesky(wh.matrix)
+        return np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         raise SpectralPositivityError(
             "Cholesky failed: matrix is not positive definite")
@@ -215,11 +223,8 @@ def factor_via_transform(mu, R, n):
     memory; panels cut by a breakpoint of w are summed directly.
     """
     mu.require_positive()
-    if n < 1 or R <= 0:
-        raise ValidationError("need n >= 1 and R > 0")
+    _check_size(n, R, "R")
     h = float(R) / n
-    wh = build_toeplitz(mu, n, h)
-
     if mu.is_constant:
         c = mu.tail
         A = np.sqrt(c) * np.eye(n)
@@ -227,6 +232,7 @@ def factor_via_transform(mu, R, n):
                               (c, c))
         return A, report
 
+    W = toeplitz(_toeplitz_column(mu, h, n))
     # A = 2 Re int_0^X conj(alpha_i e^{ix t_i}) e^{ix t_j} w(x) dx h/2pi;
     # the integrand is conjugate-even in x, so the half-window suffices.
     A = _lag_assembly(inverse_spectral(mu, R / 2.0, n), mu, h, n)
@@ -237,13 +243,19 @@ def factor_via_transform(mu, R, n):
     leakage = chain_preservation_check(A)
     A = np.triu(A)
 
-    # W and W - A^T A are symmetric
-    scale = _sym_norm2(wh.matrix)
-    residual = _sym_norm2(wh.matrix - A.T @ A) / scale
-    L = cholesky_oracle(wh)
-    vs_chol = np.linalg.norm(A - L.T, 2) / np.linalg.norm(L, 2)
+    # every 2-norm from a symmetric matrix already at hand: ||W||, and
+    # ||L|| = sqrt(||W||) since W = L L^T; cond(A)^2 = cond(A^T A);
+    # ||A - L^T||^2 = ||D^T D|| for D = A - L^T.  W - G and D overwrite
+    # G, which keeps one n x n array fewer alive at the peak.
+    G = A.T @ A
+    lam = np.linalg.eigvalsh(G)
+    cond = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
+    scale = _sym_norm2(W)
+    residual = _sym_norm2(np.subtract(W, G, out=G)) / scale
+    D = np.subtract(A, cholesky_oracle(W).T, out=G)
+    vs_chol = np.sqrt(_sym_norm2(D.T @ D) / scale)
     report = FactorReport(
-        n, h, float(residual), float(np.linalg.cond(A)),
+        n, h, float(residual), float(cond),
         float(leakage / max(np.linalg.norm(A), 1e-300)),
         float(vs_chol), float(np.abs(np.diag(A)).min()),
         (mu.c1, mu.c2))

@@ -26,7 +26,7 @@ each within _EIG_RTOL relative, and cond is an upper bound.
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, matmul_toeplitz
 
-from .accelerant import accelerant_from_weight
+from .accelerant import _toeplitz_column
 from .errors import DomainError, SpectralPositivityError
 from .hamiltonian import Grid, Hamiltonian
 
@@ -60,13 +60,6 @@ class InversionReport:
                 f"eig=[{self.min_eig:.4g}, {self.max_eig:.4g}], "
                 f"cond={self.cond:.4g}, pe_floor={self.pe_floor:.4g}, "
                 f"max_reflection={self.max_reflection:.4g})")
-
-
-def _toeplitz_column(kern, h, n):
-    """First column of the discrete Wiener-Hopf matrix I + h k((j-l) h)."""
-    col = h * kern(h * np.arange(n))
-    col[0] += 1.0
-    return col
 
 
 def _levinson(col, y=None):
@@ -204,6 +197,13 @@ def _cells_from_wave(p):
     return H
 
 
+def _check_span(R, N):
+    if not (0 < R < np.inf):
+        raise DomainError(f"R must be positive and finite, got {R}")
+    if N < 1:
+        raise DomainError(f"need N >= 1 cell, got {N}")
+
+
 def wave_values_at_zero(mu, R, N):
     """y_j ~ P_{t_j}(0) on the wave grid t_j = j*eta, eta = R/N, plus eta
     and the first column of the Toeplitz matrix (length 2N).
@@ -211,12 +211,10 @@ def wave_values_at_zero(mu, R, N):
     Exposed separately so tests can probe the discretization directly.
     """
     mu.require_positive()
-    if R <= 0 or N < 1:
-        raise DomainError("need R > 0 and N >= 1 cell")
+    _check_span(R, N)
     eta = float(R) / int(N)
     M = 2 * int(N)
-    kern = accelerant_from_weight(mu, R=(M - 1) * eta, M=M)
-    col = _toeplitz_column(kern, eta, M)
+    col = _toeplitz_column(mu, eta, M)
     y = np.empty(M)
     if not _levinson(col, y)[0]:
         raise SpectralPositivityError(
@@ -234,8 +232,7 @@ def inverse_spectral(mu, R, N, report=False):
     truncate_weight first when it is not).
     """
     mu.require_positive()
-    if R <= 0 or N < 1:
-        raise DomainError("need R > 0 and N >= 1 cell")
+    _check_span(R, N)
     N = int(N)
     if mu.is_constant:
         c = mu.c1

@@ -75,9 +75,9 @@ def wave_amplitudes(ham, z, t_max=None):
     if t_max is None:
         k_use = ham.grid.n_cells
     else:
-        if not (t_max <= 2.0 * ham.grid.span + 1e-12):
+        if not (0 <= t_max <= 2.0 * ham.grid.span + 1e-12):
             raise DomainError(
-                f"wave time {t_max:g} beyond 2*span = {2 * ham.grid.span:g}")
+                f"t_max = {t_max:g} outside [0, {2 * ham.grid.span:g}]")
         k_use = max(1, int(np.searchsorted(nodes[:-1], t_max / 2.0,
                                            side="left")))
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from canonfactor import (HalfLineFunction, cli, read_halfline,
-                         read_hamiltonian, read_matrix, write_halfline,
-                         write_hamiltonian)
+from canonfactor import (HalfLineFunction, build_toeplitz, cli,
+                         read_halfline, read_hamiltonian, read_matrix,
+                         step_weight, write_halfline, write_hamiltonian)
 from canonfactor.hamiltonian import Hamiltonian
 
 
@@ -99,6 +99,18 @@ def test_factorize_writes_factor(tmp_path):
     A = read_matrix(afile)
     assert A.shape == (64, 64)
     assert np.allclose(A, np.triu(A))
+
+
+def test_factorize_writes_cholesky_oracle(tmp_path):
+    lfile = tmp_path / "L.txt"
+    proc = run_cli("factorize", "--weight", "step:inner=2,half_width=1",
+                   "--window", "6.4", "--cells", "32",
+                   "--out-cholesky", str(lfile))
+    assert proc.returncode == 0, proc.stderr
+    L = read_matrix(lfile)
+    W = build_toeplitz(step_weight(2.0, 1.0), 32, 6.4 / 32).matrix
+    assert np.array_equal(L, np.tril(L))
+    assert np.max(np.abs(L @ L.T - W)) <= 1e-13
 
 
 def test_transform_isometry_cli(tmp_path):

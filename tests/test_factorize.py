@@ -1,19 +1,19 @@
 """Discretized Wiener-Hopf operators and their triangular factorization."""
 
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from canonfactor import (FactorReport, SpectralMeasure,
+from canonfactor import (DomainError, SpectralMeasure,
                          SpectralPositivityError, ValidationError,
                          build_toeplitz, chain_preservation_check,
                          cholesky_oracle, constant_weight,
                          cosine_bump_weight, factor_via_transform,
                          inverse_spectral, read_matrix,
                          sampled_weight, sinc_bump_weight, step_weight,
-                         wave_amplitudes, write_matrix, write_weight)
+                         wave_amplitudes, wave_values_at_zero,
+                         write_matrix, write_weight)
 from canonfactor import factorize
 from canonfactor.quadrature import gauss_legendre
 
@@ -50,19 +50,15 @@ def test_build_toeplitz_step_structure():
 
 
 def test_cholesky_oracle_hand_value():
-    class Plain:
-        matrix = np.array([[2.0, 1.0], [1.0, 2.0]])
-    L = cholesky_oracle(Plain())
+    L = cholesky_oracle(np.array([[2.0, 1.0], [1.0, 2.0]]))
     ref = np.array([[np.sqrt(2.0), 0.0],
                     [1.0 / np.sqrt(2.0), np.sqrt(1.5)]])
     assert np.allclose(L, ref, atol=1e-15)
 
 
 def test_cholesky_oracle_rejects_indefinite():
-    class Plain:
-        matrix = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(SpectralPositivityError):
-        cholesky_oracle(Plain())
+        cholesky_oracle(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_chain_preservation_check_values():
@@ -102,19 +98,62 @@ def test_factor_bump_weight_small(bump_mu):
     assert rep.cond ** 2 < 1.2 * 1.5
 
 
-@pytest.mark.parametrize("weight", ["step_mu", "bump_mu"])
-def test_factor_report_norms_match_svd(weight, request, monkeypatch):
-    # the residual's 2-norms come from a symmetric eigensolve; every
-    # report field stays where the SVD 2-norms put it
-    mu = request.getfixturevalue(weight)
-    _, rep = factor_via_transform(mu, 9.6, 96)
-    monkeypatch.setattr(factorize, "_sym_norm2",
-                        lambda S: np.linalg.norm(S, 2))
-    _, ref = factor_via_transform(mu, 9.6, 96)
-    for field in fields(FactorReport):
-        a = np.asarray(getattr(rep, field.name), dtype=float)
-        b = np.asarray(getattr(ref, field.name), dtype=float)
-        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), field.name
+@pytest.mark.parametrize("mu, R, n, tol", [
+    pytest.param(step_weight(2.0, 1.0), 9.6, 96, 1e-12, id="step_mu"),
+    pytest.param(sinc_bump_weight(0.5, 1.0), 9.6, 96, 1e-12, id="bump_mu"),
+    # c1/c2 = 1e-14, yet cond(A) ~ 148; the eigensolve of A^T A squares
+    # that and still agrees with the SVD's cond to ~1e-11
+    pytest.param(step_weight(1e-14, 1.0), 12.8, 32, 1e-9, id="inner_1e-14"),
+])
+def test_factor_report_norms_match_svd(mu, R, n, tol):
+    # the report reads every 2-norm off a symmetric eigensolve; each
+    # stays where the SVD of the factor and its oracle puts it
+    A, rep = factor_via_transform(mu, R, n)
+    W = build_toeplitz(mu, n, R / n).matrix
+    L = np.linalg.cholesky(W)
+    norm2 = np.linalg.norm
+    ref = {"residual": norm2(W - A.T @ A, 2) / norm2(W, 2),
+           "cond": np.linalg.cond(A),
+           "vs_cholesky": norm2(A - L.T, 2) / norm2(L, 2)}
+    for field, b in ref.items():
+        assert abs(getattr(rep, field) - b) <= tol * b, field
+
+
+# call -> (call on the length, its name, the error type of length <= 0)
+_LENGTH_CALLS = {
+    "build_toeplitz-constant": (
+        lambda v: build_toeplitz(constant_weight(2.0), 4, v), "h",
+        ValidationError),
+    "build_toeplitz-step": (
+        lambda v: build_toeplitz(step_weight(2.0, 1.0), 4, v), "h",
+        ValidationError),
+    "factor_via_transform-constant": (
+        lambda v: factor_via_transform(constant_weight(4.0), v, 8), "R",
+        ValidationError),
+    "factor_via_transform-step": (
+        lambda v: factor_via_transform(step_weight(2.0, 1.0), v, 8), "R",
+        ValidationError),
+    "inverse_spectral-constant": (
+        lambda v: inverse_spectral(constant_weight(2.0), v, 8), "R",
+        DomainError),
+    "inverse_spectral-bump": (
+        lambda v: inverse_spectral(sinc_bump_weight(0.5, 1.0), v, 8), "R",
+        DomainError),
+    "wave_values_at_zero": (
+        lambda v: wave_values_at_zero(sinc_bump_weight(0.5, 1.0), v, 8),
+        "R", DomainError),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0],
+                         ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("call", sorted(_LENGTH_CALLS))
+def test_bad_length_rejected(call, value):
+    # NaN fails every comparison: the length checks must fail closed and
+    # name the argument, never return h = nan
+    fn, name, error = _LENGTH_CALLS[call]
+    with pytest.raises(error, match=f"^{name} must be positive"):
+        fn(value)
 
 
 def _dense_assembly(ham, mu, h, n):

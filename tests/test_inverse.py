@@ -26,8 +26,7 @@ def dense_section(mu, span, n):
     """The order-2n Toeplitz matrix of the inverse map and its spectrum,
     built densely as the oracle for the column route."""
     eta = span / n
-    kern = accelerant_from_weight(mu, (2 * n - 1) * eta, 2 * n)
-    col = eta * kern(eta * np.arange(2 * n))
+    col = eta * accelerant_from_weight(mu, eta * np.arange(2 * n))
     col[0] += 1.0
     W = toeplitz(col)
     eigs = np.linalg.eigvalsh(W)
@@ -120,7 +119,7 @@ def test_indefinite_column_raises(monkeypatch, col):
     col = np.array(col)
     assert np.linalg.eigvalsh(toeplitz(col))[0] < 0
     monkeypatch.setattr(inverse, "_toeplitz_column",
-                        lambda kern, h, n: col.copy())
+                        lambda mu, h, n: col.copy())
     with pytest.raises(SpectralPositivityError):
         wave_values_at_zero(sinc_bump_weight(0.5, 1.0), 4.0, len(col) // 2)
 

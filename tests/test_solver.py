@@ -232,6 +232,17 @@ def test_nan_time_rejected(call):
         _NAN_TIME_CALLS[call](ham, f)
 
 
+def test_negative_t_max_rejected():
+    # a negative wave time once truncated to the first cell, and an
+    # integral over [0, t_max] to 0
+    ham = Hamiltonian.identity(4.0, 4)
+    f = HalfLineFunction([0.0, 1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(DomainError, match="t_max"):
+        wave_amplitudes(ham, 1.0, t_max=-3.0)
+    with pytest.raises(DomainError, match="t_max"):
+        f_mu_apply(ham, f, 1.0, t_max=-1.0)
+
+
 def test_j_energy_residual_small():
     rng = np.random.default_rng(29)
     for _ in range(5):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from canonfactor import (Accelerant, DomainError, ValidationError,
+from canonfactor import (DomainError, SpectralMeasure, ValidationError,
                          accelerant_from_weight, constant_weight,
                          cosine_bump_weight, read_weight, sampled_weight,
                          sinc_bump_weight, step_weight, truncate_weight,
@@ -70,10 +70,10 @@ def test_step_accelerant_is_sinc():
 def test_sinc_bump_accelerant_is_hat():
     # w = 1 + A sinc^2(Bx) transforms to a triangular hat of radius 2B
     A, B = 0.5, 1.0
-    acc = accelerant_from_weight(sinc_bump_weight(A, B), 3.0, 25)
     ts = np.linspace(-3.0, 3.0, 25)
+    k = accelerant_from_weight(sinc_bump_weight(A, B), ts)
     ref = (A / (2.0 * B)) * np.maximum(1.0 - np.abs(ts) / (2.0 * B), 0.0)
-    assert np.max(np.abs(acc.closed_form(ts) - ref)) < 1e-14
+    assert np.max(np.abs(k - ref)) < 1e-14
 
 
 def test_negative_control_accelerant():
@@ -83,22 +83,33 @@ def test_negative_control_accelerant():
     assert np.allclose(k(ts), -np.sin(ts / 2.0) / (np.pi * ts), atol=1e-14)
 
 
+def _density_only(mu):
+    """The same weight without its stored closed-form accelerant."""
+    return SpectralMeasure(mu, mu.c1, mu.c2, tail=1.0, window=mu.window,
+                           breakpoints=mu.breakpoints)
+
+
 def test_numeric_accelerant_matches_closed_forms():
+    ts = np.linspace(0.0, 4.0, 33)
     for mu in (step_weight(2.0, 1.0), cosine_bump_weight(1.0, 1.0),
                sinc_bump_weight(0.5, 1.0)):
-        acc = accelerant_from_weight(mu, 4.0, 33)
         ref = mu.closed_form_accelerant()
-        dev = np.max(np.abs(acc(acc.times) - ref(acc.times)))
+        dev = np.max(np.abs(accelerant_from_weight(mu, ts) - ref(ts)))
         assert dev < 1e-9, mu.label
+    # the panel quadrature of w - 1 (the sinc bump's slow tail would
+    # need ~10^7 nodes, so only the compactly supported deviations)
+    for mu in (step_weight(2.0, 1.0), cosine_bump_weight(1.0, 1.0)):
+        ref = mu.closed_form_accelerant()
+        k = accelerant_from_weight(_density_only(mu), ts)
+        assert np.max(np.abs(k - ref(ts))) < 1e-9, mu.label
 
 
 def test_accelerant_even_and_interpolates():
     mu = cosine_bump_weight(1.0, 1.0)
-    acc = accelerant_from_weight(mu, 5.0, 41)
     ts = np.linspace(0.0, 4.9, 23)
-    assert np.allclose(acc(-ts), acc(ts))
-    ref = mu.closed_form_accelerant()
-    assert np.max(np.abs(acc(ts) - ref(ts))) < 1e-8
+    for m in (mu, _density_only(mu)):
+        assert np.allclose(accelerant_from_weight(m, -ts),
+                           accelerant_from_weight(m, ts))
 
 
 def test_truncate_weight_clamps_deviation():
@@ -110,6 +121,9 @@ def test_truncate_weight_clamps_deviation():
 
 
 def test_constant_weight_has_zero_accelerant():
-    acc = accelerant_from_weight(constant_weight(1.0), 2.0, 9)
-    assert np.all(acc.values == 0.0)
-    assert np.allclose(acc.closed_form(np.linspace(-2, 2, 9)), 0.0)
+    k = accelerant_from_weight(constant_weight(1.0), np.linspace(-2, 2, 9))
+    assert np.array_equal(k, np.zeros(9))
+    with pytest.raises(DomainError, match="truncate"):
+        accelerant_from_weight(constant_weight(2.0), [0.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        accelerant_from_weight(step_weight(2.0, 1.0), [0.0, np.nan])
