@@ -16,6 +16,8 @@ from .errors import DomainError, UnsupportedFeatureError, ValidationError
 from .measures import SpectralMeasure
 from .quadrature import gauss_legendre
 
+_BLOCK = 1 << 16        # times x quadrature nodes per block of cos(t x)
+
 
 def truncate_weight(mu, j):
     """Replace w by 1 outside [-j, j]; bounds widen to include 1."""
@@ -62,8 +64,15 @@ def _numeric_kernel(mu, times):
     nodes, wq = gauss_legendre(8, edges[:-1], edges[1:])
     nodes = nodes.ravel()
     dev = (np.asarray(mu(nodes), dtype=float) - 1.0) * wq.ravel()
-    # all sample times at once: values[m] = (1/pi) sum dev * cos(x * t_m)
-    return (np.cos(np.multiply.outer(times, nodes)) @ dev) / np.pi
+    # values[m] = (1/pi) sum dev * cos(x * t_m), a block of times at a
+    # time, so memory is O(_BLOCK + len(times)), not len(times) x nodes
+    t = np.reshape(times, -1)
+    values = np.empty(t.shape)
+    rows = max(1, _BLOCK // nodes.size)
+    for lo in range(0, t.size, rows):
+        values[lo:lo + rows] = np.cos(np.multiply.outer(t[lo:lo + rows],
+                                                        nodes)) @ dev
+    return values.reshape(np.shape(times)) / np.pi
 
 
 def accelerant_from_weight(mu, t):

@@ -16,13 +16,15 @@ residual alone, and reads every 2-norm of its report off a symmetric
 eigensolve of a matrix it already holds.  ``build_toeplitz`` adds the
 certified extremes of W, from the O(n^2) brackets of the inverse layer.
 
-The pairing depends on i and j only through the lag j - i once the wave
-amplitudes of row i are known, and its quadrature nodes sit on uniform
-panels of the Nyquist window, so each row is a handful of FFTs over the
-panels: A takes O(n^2 log n) time.  The amplitudes stream off one
-real-axis sweep a block of rows at a time, so memory is O(n^2), the size
-of A itself.  Panels that a breakpoint of w cuts are split there and
-summed directly.
+The pairing depends on i and j only through the lag j - i + i // 2 once
+the unphased wave amplitude of row i is known (the cells of the
+recovered Hamiltonian start at i h/2, so the wave's phase is a lag
+shift), and its quadrature nodes sit on uniform panels of the Nyquist
+window, so each row is a handful of FFTs over the panels: A takes
+O(n^2 log n) time.  The amplitudes stream off one real-axis sweep in
+real arithmetic, a block of rows at a time, so memory is O(n^2), the
+size of A itself.  Panels that a breakpoint of w cuts are split there
+and summed directly.
 """
 
 from dataclasses import dataclass
@@ -143,7 +145,15 @@ class FactorReport:
 
 
 def _lag_assembly(ham, mu, h, n):
-    """A[i, j] = Re S_i(j - i), S_i(m) = sum_x conj(alpha_i(x)) c(x) e^{ixhm}.
+    """A[i, j] = Re T_i(j - i + i // 2), T_i(m) = sum_x g_i(x) e^{ixhm}.
+
+    Row i pairs the wave alpha_i = e^{-ix a_i} beta_i against the
+    exponentials: conj(alpha_i) e^{ixh(j - i)} = conj(beta_i) e^{ixh(j - i
+    + i/2)}, since a_i = i h/2 on the uniform half-step grid of
+    ``inverse_spectral`` (any other grid raises DomainError).  So the
+    phase is a lag shift of i // 2, with g_i = conj(beta_i) c for even i
+    and conj(beta_i) c e^{ixh/2} for odd i, where beta_i comes off the
+    real sweep state in real arithmetic.
 
     The nodes x are order-16 Gauss-Legendre on P = max(n, 4) uniform
     panels of [0, pi/h], with c = w * weight * h/pi.  On an uncut panel p
@@ -151,9 +161,13 @@ def _lag_assembly(ham, mu, h, n):
     one length-2P FFT over p per offset u_k, then a 16-term sum against
     the twiddles e^{i pi m u_k / P}.  A panel that a breakpoint of w
     cuts is split there, and its nodes are summed directly against the
-    phases e^{i x h m}.  The amplitude rows stream off one real-axis
-    sweep in blocks, so memory is A plus O(_BLOCK + n * cut nodes).
+    phases e^{i x h m}.  The lags m run over [-(n // 2), n - 1].  The
+    amplitude rows stream off one real-axis sweep in blocks, so memory
+    is A plus O(_BLOCK + n * cut nodes).
     """
+    a = ham.grid.nodes[:n]
+    if not np.allclose(a, 0.5 * h * np.arange(n), rtol=1e-13, atol=1e-13 * h):
+        raise DomainError("the lag assembly needs the cell nodes i h/2")
     X = np.pi / h
     P = max(n, 4)
     edges = np.linspace(0.0, X, P + 1)
@@ -168,31 +182,37 @@ def _lag_assembly(ham, mu, h, n):
     wq = np.concatenate([np.where(cut[:, None], 0.0, wq_u).ravel(),
                          wq_c.ravel()])
     c = np.asarray(mu(x), dtype=float) * wq * (h / np.pi)
+    half_shift = np.exp(0.5j * h * x)
 
-    m = np.arange(-(n - 1), n)                                  # the lags
+    m = np.arange(-(n // 2), n)                                 # the lags
     u, _ = gauss_legendre(_ORDER, 0.0, 1.0)
-    twiddle = np.exp(1j * np.pi / P * u[:, None] * m)           # (16, 2n - 1)
-    phase = np.exp(1j * h * x_c.reshape(-1, 1) * m)             # (Qc, 2n - 1)
+    twiddle = np.exp(1j * np.pi / P * u[:, None] * m)           # (16, L)
+    phase = np.exp(1j * h * x_c.reshape(-1, 1) * m)             # (Qc, L)
     n_u = x_u.size
 
     A = np.empty((n, n))
     rows = max(1, _BLOCK // x.size)
     block = np.empty((rows, x.size), dtype=complex)
-    for i, alpha in _amplitude_rows(ham, x, n):
+    for i, beta, _ in _amplitude_rows(ham, x, n):      # real x: scale 0
         r = i % rows
-        block[r] = alpha
+        g = block[r]
+        np.multiply(beta.real, c, out=g.real)
+        np.multiply(beta.imag, c, out=g.imag)
+        np.conjugate(g, out=g)
+        if i % 2:
+            g *= half_shift
         if r < rows - 1 and i < n - 1:
             continue
-        g = np.conjugate(block[:r + 1], out=block[:r + 1])
-        g *= c
+        g = block[:r + 1]
         # unscaled inverse FFT: G[b, m, k] = sum_p g[b, p, k] e^{i pi p m/P}
         G = np.fft.ifft(g[:, :n_u].reshape(r + 1, P, _ORDER), 2 * P, axis=1,
                         norm="forward")
-        S = np.einsum("bmk,km->bm", G[:, m % (2 * P)], twiddle)
-        S += g[:, n_u:] @ phase
+        T = np.einsum("bmk,km->bm", G[:, m % (2 * P)], twiddle)
+        T += g[:, n_u:] @ phase
         lo = i - r
-        lags = np.arange(n) - np.arange(lo, i + 1)[:, None] + (n - 1)
-        A[lo:i + 1] = np.take_along_axis(S.real, lags, axis=1)
+        rows_i = np.arange(lo, i + 1)[:, None]
+        lags = np.arange(n) - rows_i + rows_i // 2 + n // 2
+        A[lo:i + 1] = np.take_along_axis(T.real, lags, axis=1)
     if not np.all(np.isfinite(A)):
         raise DomainError("wave amplitudes overflow on the Nyquist window")
     return A
@@ -217,10 +237,14 @@ def factor_via_transform(mu, R, n):
     sign-flipped (A^T A is unchanged); entries below the diagonal are
     zeroed and their pre-zero mass reported as leakage.
 
-    The pairing is a lag-FFT assembly (see ``_lag_assembly``): the wave
-    amplitudes stream off one real-axis sweep and each row costs 16 FFTs
-    of length 2 max(n, 4), so A takes O(n^2 log n) time and O(n^2)
-    memory; panels cut by a breakpoint of w are summed directly.
+    The pairing is a lag-FFT assembly (see ``_lag_assembly``): the
+    unphased wave amplitudes stream off one real-axis sweep in real
+    arithmetic, row i reads its lags shifted by i // 2 (odd rows carry
+    one extra half-step factor e^{ixh/2}), and each row costs 16 FFTs of
+    length 2 max(n, 4), so A takes O(n^2 log n) time and O(n^2) memory;
+    panels cut by a breakpoint of w are summed directly.  The shift
+    needs the uniform half-step grid a_i = i h/2 that ``inverse_spectral``
+    returns here.
     """
     mu.require_positive()
     _check_size(n, R, "R")

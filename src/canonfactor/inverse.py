@@ -204,23 +204,30 @@ def _check_span(R, N):
         raise DomainError(f"need N >= 1 cell, got {N}")
 
 
-def wave_values_at_zero(mu, R, N):
-    """y_j ~ P_{t_j}(0) on the wave grid t_j = j*eta, eta = R/N, plus eta
-    and the first column of the Toeplitz matrix (length 2N).
-
-    Exposed separately so tests can probe the discretization directly.
-    """
+def _wave_pass(mu, R, N):
+    """``wave_values_at_zero`` plus the health figures (pe_floor,
+    max_reflection) of its Levinson pass."""
     mu.require_positive()
     _check_span(R, N)
     eta = float(R) / int(N)
     M = 2 * int(N)
     col = _toeplitz_column(mu, eta, M)
     y = np.empty(M)
-    if not _levinson(col, y)[0]:
+    positive, pe_floor, kmax = _levinson(col, y)
+    if not positive:
         raise SpectralPositivityError(
             "discretized Wiener-Hopf matrix is not positive definite; "
             "the weight must stay bounded away from zero")
-    return y, eta, col
+    return y, eta, col, pe_floor, kmax
+
+
+def wave_values_at_zero(mu, R, N):
+    """y_j ~ P_{t_j}(0) on the wave grid t_j = j*eta, eta = R/N, plus eta
+    and the first column of the Toeplitz matrix (length 2N).
+
+    Exposed separately so tests can probe the discretization directly.
+    """
+    return _wave_pass(mu, R, N)[:3]
 
 
 def inverse_spectral(mu, R, N, report=False):
@@ -247,7 +254,7 @@ def inverse_spectral(mu, R, N, report=False):
         raise DomainError(
             "weight tail differs from 1; apply truncate_weight first")
 
-    y, eta, col = wave_values_at_zero(mu, R, N)
+    y, eta, col, pe_floor, kmax = _wave_pass(mu, R, N)
     # H cell i covers [i, i+1]*R/N, i.e. wave times [2i, 2i+2]*eta.  The
     # discrete orthogonal system lags the continuous wave by half a step
     # (y_j sits at t_j + eta/2), so the mean of the two samples inside a
@@ -259,7 +266,6 @@ def inverse_spectral(mu, R, N, report=False):
     ham = Hamiltonian(grid, cells, unimodular=True)
     if report:
         lo, hi = _certified_extremes(col)
-        _, pe_floor, kmax = _levinson(col)
         rep = InversionReport(N, eta, float(lo), float(hi),
                               float(np.max(np.abs(ham.dets - 1.0))),
                               pe_floor, kmax)

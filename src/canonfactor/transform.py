@@ -6,12 +6,21 @@ q = (1, -i) sqrt(H_c) is a left eigenvector of J H_c with eigenvalue -i
 
     P_{2 tau}(z) = e^{i tau z} (Psi+ - i Psi-),   Psi = sqrt(H) Theta,
 
-collapses to a single exponential alpha_c(z) e^{i z t} in wave time
-t = 2 tau, with alpha_c(z) = e^{-i z a_c} q_c Theta(a_c, z) frozen at
-the cell's left node a_c.  The pointwise value ``krein_wave`` and all
-time integrals downstream (transform, isometry, factor columns) use
-these per-cell amplitudes and closed-form exponential integrals.  P_t
-jumps at the wave nodes 2 a_c with sqrt(H); ``krein_wave`` is
+collapses to a single exponential in wave time t = 2 tau:
+
+    P_t(z) = beta_c(z) e^{iz(t - a_c)},   beta_c(z) = q_c Theta(a_c, z),
+
+with the unphased amplitude beta_c frozen at the cell's left node a_c.
+``_amplitude_rows`` yields beta_c off one sweep: for real z in real
+arithmetic, with the sweep's power-of-two scale put back by ldexp and no
+complex exponential per row and node; for complex z as a mantissa with
+that scale apart.  The phase e^{-iz a_c}, and for complex z the scale,
+go into an exponential that each consumer computes anyway.  ``wave_amplitudes``
+returns alpha_c = beta_c e^{-iz a_c}, so P_t = alpha_c e^{izt}, for
+``krein_wave`` and the kernel checks; ``f_mu_apply`` integrates
+beta_c e^{iz(t - a_c)} over each segment in closed form; and the
+factor's pairing turns it into a lag shift (``factorize._lag_assembly``).
+P_t jumps at the wave nodes 2 a_c with sqrt(H); ``krein_wave`` is
 right-continuous there.  ``reproducing_kernel`` is the closed form in
 Theta itself, against which the amplitudes are checked.
 """
@@ -25,52 +34,42 @@ from .quadrature import gauss_legendre
 from .solver import _sweep, sinch, transfer_matrix
 
 
-def _exp_segment(z, u, v):
-    """int_u^v e^{izt} dt = (v-u) e^{iz(u+v)/2} sinc(z(v-u)/2)."""
-    z = np.asarray(z, dtype=complex)
-    half = 0.5 * (v - u)
-    return 2.0 * half * np.exp(1j * z * (u + v) / 2.0) * sinch(z * half)
-
-
 def _amplitude_rows(ham, z, k_use):
-    """Yield (c, alpha_c(z)) for the cells c < k_use, left to right.
+    """Yield (c, beta, scale) for the cells c < k_use, left to right, with
+    beta_c(z) = q_c Theta(a_c, z) = beta * 2**scale and no phase applied.
 
-    z is a 1-D real or complex array; each alpha_c is a fresh complex
-    array shaped like z.  The sweep runs in the dtype of z.
+    z is a 1-D real or complex array, and beta a fresh complex array
+    shaped like z.  For real z, Re beta and Im beta are two real
+    combinations of the real sweep state, the power-of-two scale is put
+    back by ldexp, and scale is 0 (|beta_c| = |alpha_c| there, so beta
+    overflows only where the wave does).  Complex z yields the sweep's
+    integer exponents apart, for the consumer's exponential.
     """
     S = ham.sqrt_cells()
     # q_c = (1, -i) sqrt(H_c): row0 - i*row1
-    q = S[:k_use, 0, :] - 1j * S[:k_use, 1, :]          # (k_use, 2)
-    nodes = ham.grid.nodes
-    # Theta at the start a_c of every cell used, with its power-of-two
-    # scale folded into the exponential
-    for c, theta, scale in _sweep(ham, z, 1, nodes[k_use - 1]):
-        with np.errstate(over="ignore", invalid="ignore"):
-            arg = -1j * z * nodes[c] + np.log(2.0) * scale
-            alpha = np.exp(arg) * (q[c, 0] * theta[0, 0]
-                                   + q[c, 1] * theta[1, 0])
-        yield c, alpha
+    real = not np.iscomplexobj(z)
+    for c, theta, scale in _sweep(ham, z, 1, ham.grid.nodes[k_use - 1]):
+        th0, th1 = theta[0, 0], theta[1, 0]
+        if real:
+            # numpy's ldexp is ~15x faster on int32 exponents than int64
+            e = scale.astype(np.int32)
+            beta = np.empty(z.size, dtype=complex)
+            with np.errstate(over="ignore"):
+                beta.real = np.ldexp(S[c, 0, 0] * th0 + S[c, 0, 1] * th1, e)
+                beta.imag = np.ldexp(-(S[c, 1, 0] * th0 + S[c, 1, 1] * th1),
+                                     e)
+            yield c, beta, 0
+        else:
+            yield c, ((S[c, 0, 0] - 1j * S[c, 1, 0]) * th0
+                      + (S[c, 0, 1] - 1j * S[c, 1, 1]) * th1), scale
 
 
-def wave_amplitudes(ham, z, t_max=None):
-    """Per-cell amplitudes alpha_c(z) with P_t(z) = alpha_c(z) e^{izt}.
-
-    Valid for wave times t in [2 a_c, 2 b_c] (cell c's interval doubled).
-    Returns (alphas, wave_nodes): alphas is complex of shape (K,) +
-    z.shape, and wave_nodes = 2 * grid nodes, truncated to cells reaching
-    t_max.  Real z sweeps in real arithmetic.
-
-    Known limit: on a decaying wave the relative accuracy is lost once
-    Im z * t exceeds ~20, because q Theta(a_c) cancels two components of
-    size e^{Im z a_c} down to e^{-Im z a_c} (on the free system, 5e-4
-    relative at z = 1 + 5i, t = 8, and pure noise at z = 1 + 10i,
-    t = 4).  Real z, and the Im z <= 1 of the acceptance criteria, are
-    unaffected.
-    """
+def _unphased(ham, z, t_max):
+    """(betas, scales, wave_nodes) of ``wave_amplitudes`` before the phase:
+    alpha_c = betas[c] * 2**scales[c] * e^{-i z a_c}.  betas is (K, z.size);
+    scales is (K, z.size) for complex z and (K, 1) zeros for real z."""
     if not ham.unimodular:
         raise DomainError("waves need a unimodular Hamiltonian")
-    z = np.asarray(z)
-    z = z.astype(np.result_type(z, np.float64), copy=False)
     nodes = ham.grid.nodes
     if t_max is None:
         k_use = ham.grid.n_cells
@@ -80,13 +79,48 @@ def wave_amplitudes(ham, z, t_max=None):
                 f"t_max = {t_max:g} outside [0, {2 * ham.grid.span:g}]")
         k_use = max(1, int(np.searchsorted(nodes[:-1], t_max / 2.0,
                                            side="left")))
+    z = z.reshape(-1)
+    betas = np.empty((k_use, z.size), dtype=complex)
+    scales = np.zeros((k_use, z.size if np.iscomplexobj(z) else 1),
+                      dtype=np.int64)
+    for c, beta, scale in _amplitude_rows(ham, z, k_use):
+        betas[c] = beta
+        scales[c] = scale
+    return betas, scales, 2.0 * nodes[:k_use + 1]
 
-    alphas = np.empty((k_use, z.size), dtype=complex)
-    for c, alpha in _amplitude_rows(ham, z.reshape(-1), k_use):
-        alphas[c] = alpha
+
+def _phase(z, shift, scales):
+    """e^{i z shift} 2**scales, the scale kept inside the exponent so no
+    intermediate overflows."""
+    return np.exp(1j * z * shift + np.log(2.0) * scales)
+
+
+def wave_amplitudes(ham, z, t_max=None):
+    """Per-cell amplitudes alpha_c(z) with P_t(z) = alpha_c(z) e^{izt}.
+
+    Valid for wave times t in [2 a_c, 2 b_c] (cell c's interval doubled).
+    Returns (alphas, wave_nodes): alphas is complex of shape (K,) +
+    z.shape, and wave_nodes = 2 * grid nodes, truncated to cells reaching
+    t_max.  Real z sweeps in real arithmetic; alpha_c is the unphased
+    beta_c times e^{-i z a_c}.
+
+    Known limit: on a decaying wave the relative accuracy is lost once
+    Im z * t exceeds ~20, because q Theta(a_c) cancels two components of
+    size e^{Im z a_c} down to e^{-Im z a_c} (on the free system, 5e-4
+    relative at z = 1 + 5i, t = 8, and pure noise at z = 1 + 10i,
+    t = 4).  Real z, and the Im z <= 1 of the acceptance criteria, are
+    unaffected.
+    """
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z, np.float64), copy=False)
+    alphas, scales, wave_nodes = _unphased(ham, z, t_max)
+    k_use = alphas.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(k_use):
+            alphas[c] *= _phase(z.reshape(-1), -ham.grid.nodes[c], scales[c])
     if not np.all(np.isfinite(alphas)):
         raise DomainError("wave amplitudes overflow; reduce Im z or span")
-    return alphas.reshape((k_use,) + z.shape), 2.0 * nodes[:k_use + 1]
+    return alphas.reshape((k_use,) + z.shape), wave_nodes
 
 
 def krein_wave(ham, t, z):
@@ -138,7 +172,9 @@ def f_mu_apply(ham, f, z_grid, t_max=None):
     """(1/sqrt(2pi)) int f(t) P_t(z) dt for piecewise-constant f.
 
     f is a HalfLineFunction supported on [0, r] in wave time (tail must
-    be absent or zero); the integral is exact per refined cell.
+    be absent or zero); the integral is exact per refined cell: on a
+    segment [u, v] of wave cell c it is beta_c e^{iz(mid - a_c)} (v - u)
+    sinc(z (v - u)/2), mid = (u + v)/2, with a real sinc for real z.
     """
     if f.tail not in (None, 0.0):
         raise DomainError("f must be supported inside its grid")
@@ -146,7 +182,8 @@ def f_mu_apply(ham, f, z_grid, t_max=None):
     z = np.asarray(z_grid)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    alphas, wave_nodes = wave_amplitudes(ham, z, t_max=r)
+    z = z.astype(np.result_type(z, np.float64), copy=False)
+    betas, scales, wave_nodes = _unphased(ham, z, r)
     edges = np.unique(np.concatenate([
         f.grid.nodes, np.clip(wave_nodes, 0.0, r)]))
     edges = edges[edges <= r + 1e-15]
@@ -158,8 +195,13 @@ def f_mu_apply(ham, f, z_grid, t_max=None):
         fv = float(f(min(mid, f.grid.span * (1 - 1e-15))))
         if fv == 0.0:
             continue
-        c = min(int(np.searchsorted(wave_nodes, mid) - 1), alphas.shape[0] - 1)
-        out += fv * alphas[c] * _exp_segment(z, u, v)
+        c = min(int(np.searchsorted(wave_nodes, mid) - 1), betas.shape[0] - 1)
+        half = 0.5 * (v - u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += (betas[c] * _phase(z, mid - ham.grid.nodes[c], scales[c])
+                    * (fv * 2.0 * half * sinch(z * half)))
+    if not np.all(np.isfinite(out)):
+        raise DomainError("wave transform overflows; reduce Im z or span")
     out /= np.sqrt(2.0 * np.pi)
     return complex(out[0]) if scalar else out
 

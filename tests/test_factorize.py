@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from canonfactor import (DomainError, SpectralMeasure,
+from canonfactor import (DomainError, Grid, Hamiltonian, SpectralMeasure,
                          SpectralPositivityError, ValidationError,
                          build_toeplitz, chain_preservation_check,
                          cholesky_oracle, constant_weight,
@@ -217,6 +217,20 @@ def test_lag_assembly_matches_dense_pairing(name, n, monkeypatch):
                   "min_abs_diag"):
         a, b = getattr(rep, field), getattr(ref, field)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), field
+
+
+def test_lag_assembly_needs_the_half_step_grid():
+    # the row phase e^{-ix a_i} is a lag shift only for a_i = i h/2
+    mu = step_weight(2.0, 1.0)
+    n, h = 16, _R / 16
+    ham = inverse_spectral(mu, _R / 2.0, n)
+    nodes = ham.grid.nodes.copy()
+    nodes[1:-1] += 0.1 * h * np.sin(np.arange(1, n))
+    bent = Hamiltonian(Grid(nodes), ham.cells, unimodular=True)
+    with pytest.raises(DomainError, match="i h/2"):
+        factorize._lag_assembly(bent, mu, h, n)
+    with pytest.raises(DomainError, match="i h/2"):
+        factorize._lag_assembly(ham, mu, 1.01 * h, n)
 
 
 def test_factor_memory_stays_below_one_dense_node_array():

@@ -86,6 +86,31 @@ def test_inversion_report(bump_mu):
     assert "pe_floor=" in repr(rep) and "max_reflection=" in repr(rep)
 
 
+def test_report_reuses_the_wave_pass(bump_mu, monkeypatch):
+    # pe_floor and max_reflection come off the one Levinson pass that
+    # computes the wave; every other pass certifies a shifted column
+    _, _, col = wave_values_at_zero(bump_mu, 10.0, 64)
+    _, plain_floor, plain_kmax = inverse._levinson(col)
+    calls = []
+    levinson = inverse._levinson
+
+    def counted(c, y=None):
+        calls.append((c.copy(), y is not None))
+        return levinson(c, y)
+
+    monkeypatch.setattr(inverse, "_levinson", counted)
+    inverse._certified_extremes(col)
+    certify = len(calls)
+    calls.clear()
+    _, rep = inverse_spectral(bump_mu, 10.0, 64, report=True)
+    assert len(calls) == 1 + certify
+    waves = [c for c, wave in calls if wave]
+    assert len(waves) == 1 and np.array_equal(waves[0], col)
+    assert not any(np.array_equal(c, col) for c, wave in calls if not wave)
+    assert abs(rep.pe_floor - plain_floor) <= 1e-12
+    assert abs(rep.max_reflection - plain_kmax) <= 1e-12
+
+
 def test_constant_weight_report_health():
     _, rep = inverse_spectral(constant_weight(2.0), 10.0, 8, report=True)
     assert (rep.min_eig, rep.max_eig, rep.cond) == (2.0, 2.0, 1.0)

@@ -1,5 +1,7 @@
 """Krein waves, reproducing kernels, and the spectral transform isometry."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          ValidationError, constant_weight, f_mu_apply, isometry_residual,
-                         krein_wave, random_unimodular, reproducing_kernel,
+                         inverse_spectral, krein_wave, random_unimodular,
+                         reproducing_kernel, sinc_bump_weight,
                          transfer_matrix, wave_amplitudes)
 
 
@@ -172,3 +175,68 @@ def test_wave_amplitudes_truncation_matches_full():
     part, nodes_part = wave_amplitudes(ham, zs, t_max=nodes_full[3])
     assert np.array_equal(nodes_part, nodes_full[:4])
     assert np.allclose(part, full[:3], rtol=1e-12)
+
+
+_FOLD_HAMILTONIANS = {
+    "inverse_spectral": lambda: inverse_spectral(
+        sinc_bump_weight(0.5, 1.0), 6.4, 64),
+    # off-diagonal cells: every entry of sqrt(H) enters beta
+    "random_unimodular": lambda: random_unimodular(
+        np.random.default_rng(7), 40, 6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_HAMILTONIANS))
+def test_real_axis_matches_complex_arithmetic(name):
+    # real x takes the real sweep, the real beta combinations and a real
+    # sinc; x + 0j runs the same formulas in complex arithmetic
+    ham = _FOLD_HAMILTONIANS[name]()
+    x = np.linspace(-40.0, 40.0, 161)
+    f = HalfLineFunction.from_uniform(
+        np.random.default_rng(8).uniform(-1.0, 1.0, 9), span=9.0)
+    got, ref = f_mu_apply(ham, f, x), f_mu_apply(ham, f, x + 0j)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    alphas, _ = wave_amplitudes(ham, x)
+    ref_alphas, _ = wave_amplitudes(ham, x + 0j)
+    assert np.all(np.abs(alphas - ref_alphas) <= 1e-13 * np.abs(ref_alphas))
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_HAMILTONIANS))
+def test_f_mu_apply_matches_amplitude_integrals(name):
+    # the reference integrates alpha_c e^{izt} = P_t(z) per segment in
+    # closed form; f_mu_apply folds e^{-iz a_c} into its own exponential
+    ham = _FOLD_HAMILTONIANS[name]()
+    f = HalfLineFunction.from_uniform(
+        np.random.default_rng(9).uniform(-1.0, 1.0, 7), span=7.0)
+    z = np.array([0.6, -2.5, 7.0, 1.0 + 0.4j, -3.0 - 0.3j, 0.5j])
+    alphas, wave_nodes = wave_amplitudes(ham, z, t_max=7.0)
+    edges = np.unique(np.concatenate([f.grid.nodes,
+                                      np.clip(wave_nodes, 0.0, 7.0)]))
+    ref = np.zeros(z.shape, dtype=complex)
+    for u, v in zip(edges[:-1], edges[1:]):
+        c = min(np.searchsorted(wave_nodes, 0.5 * (u + v)) - 1,
+                len(alphas) - 1)
+        ref += (f(0.5 * (u + v)) * alphas[c]
+                * (np.exp(1j * z * v) - np.exp(1j * z * u)) / (1j * z))
+    ref /= np.sqrt(2.0 * np.pi)
+    got = f_mu_apply(ham, f, z)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_f_mu_apply_keeps_the_scale_in_the_exponent():
+    # free system on [0, 800]: alpha_c = e^{-2iz a_c} overflows for
+    # Im z > 0 while P_t(z) = e^{izt} and its transform stay small; for
+    # Im z < 0 the transform itself overflows and must raise, not
+    # return nan
+    ham = Hamiltonian.identity(400.0, 40)
+    f = HalfLineFunction.from_uniform(np.ones(4), span=800.0)
+    z = np.array([1.0 + 3.0j, 1.0 + 0.95j])
+    with pytest.raises(DomainError, match="overflow"):
+        wave_amplitudes(ham, z)
+    ref = (np.exp(800j * z) - 1.0) / (1j * z * np.sqrt(2.0 * np.pi))
+    got = f_mu_apply(ham, f, z)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            f_mu_apply(ham, f, np.array([1.0 - 3.0j]))
