@@ -1,8 +1,9 @@
 """Batch command line front end.
 
 Deliberately import-light at module level: all numeric imports happen
-inside the handlers, so --help and configuration errors answer without
-the ~0.9 s import of numpy and scipy.
+inside the handlers, after the weight spec is parsed, so --help and a
+malformed command line, INI file or weight spec answer without the
+~0.9 s import of numpy and scipy (later checks may come after it).
 
 Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
 (including a malformed command line, a non-finite number, and any path
@@ -148,22 +149,31 @@ def _merge_config(parser, argv):
         raise ConfigError(f"cannot read config {known.config}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"bad config {known.config}: {exc}")
-    spa = next((a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)), None)
+    spa = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
     # first bare token that names a subcommand (a flag value like the
     # config path itself can come earlier)
-    command = next((a for a in argv if spa and a in spa.choices), None)
+    command = next((a for a in argv if a in spa.choices), None)
+    child = spa.choices.get(command)
+    dests = {a.dest for a in child._actions} if child is not None else set()
+    top = {a.dest for a in parser._actions}
+    anywhere = {a.dest for p in spa.choices.values() for a in p._actions}
     defaults = {}
-    for section in ("common", command or ""):
+    # a key that no option takes would be dropped silently; a [common]
+    # key may serve another command
+    for section, takes in (("common", top | anywhere), (command, top | dests)):
         if section and cp.has_section(section):
             for key, val in cp.items(section):
+                if key.replace("-", "_") not in takes:
+                    raise ConfigError(
+                        f"config {known.config}: key {key!r} in [{section}] "
+                        "is no option of "
+                        f"{'any' if section == 'common' else section} command")
                 defaults[key.replace("-", "_")] = val
     # push defaults for the invoked subcommand onto its own parser: that
     # both satisfies required options and lets argparse type-convert the
     # string values; leftovers go on the top-level parser
-    child = spa.choices.get(command) if spa and command else None
     if child is not None:
-        dests = {a.dest for a in child._actions}
         child_defaults = {k: v for k, v in defaults.items() if k in dests}
         child.set_defaults(**child_defaults)
         for a in child._actions:
@@ -188,11 +198,11 @@ def _parse_list(text, kind):
 
 
 def _resolve_weight(spec):
-    from .measures import read_weight, weight_by_name
-    if spec.startswith("@"):
-        return read_weight(spec[1:])
-    if spec.startswith("file:"):
-        return read_weight(spec[5:])
+    """The weight of a spec, parsed before numpy is imported."""
+    for prefix in ("@", "file:"):
+        if spec.startswith(prefix):
+            from .measures import read_weight
+            return read_weight(spec[len(prefix):])
     name, _, rest = spec.partition(":")
     params = {}
     for item in rest.split(","):
@@ -206,6 +216,7 @@ def _resolve_weight(spec):
         except argparse.ArgumentTypeError:
             raise ConfigError(f"weight parameter {item!r} is not a finite "
                               "number")
+    from .measures import weight_by_name
     try:
         return weight_by_name(name.strip(), **params)
     except (KeyError, TypeError) as exc:
@@ -294,9 +305,9 @@ def _cmd_weyl(args, out):
 
 
 def _cmd_szego(args, out):
-    from .weyl import szego_K
     mu = _resolve_weight(args.weight)
     ys = _parse_list(args.y, float)
+    from .weyl import szego_K
     out.write("# y K(mu, iy)")
     for y in ys:
         out.write(f"{_fmt(y)} {_fmt(szego_K(mu, 1j * y))}")
@@ -325,10 +336,10 @@ def _cmd_decompose(args, out):
 
 
 def _cmd_invert(args, out):
+    mu = _resolve_weight(args.weight)
     from .accelerant import truncate_weight
     from .hamiltonian import write_hamiltonian
     from .inverse import inverse_spectral
-    mu = _resolve_weight(args.weight)
     if args.truncate is not None:
         mu = truncate_weight(mu, args.truncate)
     ham, report = inverse_spectral(mu, args.span, args.cells, report=True)
@@ -362,9 +373,9 @@ def _cmd_transform(args, out):
 
 
 def _cmd_factorize(args, out):
+    mu = _resolve_weight(args.weight)
     from .factorize import (build_toeplitz, cholesky_oracle,
                             factor_via_transform, write_matrix)
-    mu = _resolve_weight(args.weight)
     A, report = factor_via_transform(mu, args.window, args.cells)
     if args.out_factor:
         write_matrix(A, args.out_factor)

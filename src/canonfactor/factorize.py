@@ -21,9 +21,9 @@ the unphased wave amplitude of row i is known (the cells of the
 recovered Hamiltonian start at i h/2, so the wave's phase is a lag
 shift), and its quadrature nodes sit on uniform panels of the Nyquist
 window, so each row is a handful of FFTs over the panels: A takes
-O(n^2 log n) time.  The amplitudes stream off one real-axis sweep in
-real arithmetic, a block of rows at a time, so memory is O(n^2), the
-size of A itself.  Panels that a breakpoint of w cuts are split there
+O(n^2 log n) time.  The amplitudes come off one real-axis sweep in
+real arithmetic, and each row is paired as it arrives, so memory is
+O(n^2), the size of A itself.  Panels that a breakpoint of w cuts are split there
 and summed directly.
 """
 
@@ -39,7 +39,6 @@ from .quadrature import gauss_legendre
 from .tables import read_table, write_table
 from .transform import _amplitude_rows
 
-_BLOCK = 1 << 17        # amplitude rows x nodes per block of the assembly
 _ORDER = 16             # Gauss-Legendre nodes per panel of the pairing
 
 
@@ -161,9 +160,9 @@ def _lag_assembly(ham, mu, h, n):
     one length-2P FFT over p per offset u_k, then a 16-term sum against
     the twiddles e^{i pi m u_k / P}.  A panel that a breakpoint of w
     cuts is split there, and its nodes are summed directly against the
-    phases e^{i x h m}.  The lags m run over [-(n // 2), n - 1].  The
-    amplitude rows stream off one real-axis sweep in blocks, so memory
-    is A plus O(_BLOCK + n * cut nodes).
+    phases e^{i x h m}.  The lags m run over [-(n // 2), n - 1].  Each
+    amplitude row is paired as it comes off the real-axis sweep, so
+    memory is A plus O(n * cut nodes).
     """
     a = ham.grid.nodes[:n]
     if not np.allclose(a, 0.5 * h * np.arange(n), rtol=1e-13, atol=1e-13 * h):
@@ -191,28 +190,19 @@ def _lag_assembly(ham, mu, h, n):
     n_u = x_u.size
 
     A = np.empty((n, n))
-    rows = max(1, _BLOCK // x.size)
-    block = np.empty((rows, x.size), dtype=complex)
-    for i, beta, _ in _amplitude_rows(ham, x, n):      # real x: scale 0
-        r = i % rows
-        g = block[r]
-        np.multiply(beta.real, c, out=g.real)
-        np.multiply(beta.imag, c, out=g.imag)
-        np.conjugate(g, out=g)
+    for i, g, _ in _amplitude_rows(ham, x, n):          # real x: scale 0
+        g.real *= c
+        g.imag *= -c                                    # g = conj(beta) c
         if i % 2:
             g *= half_shift
-        if r < rows - 1 and i < n - 1:
-            continue
-        g = block[:r + 1]
-        # unscaled inverse FFT: G[b, m, k] = sum_p g[b, p, k] e^{i pi p m/P}
-        G = np.fft.ifft(g[:, :n_u].reshape(r + 1, P, _ORDER), 2 * P, axis=1,
+        # unscaled inverse FFT: G[m, k] = sum_p g[p, k] e^{i pi p m/P}
+        G = np.fft.ifft(g[:n_u].reshape(P, _ORDER), 2 * P, axis=0,
                         norm="forward")
-        T = np.einsum("bmk,km->bm", G[:, m % (2 * P)], twiddle)
-        T += g[:, n_u:] @ phase
-        lo = i - r
-        rows_i = np.arange(lo, i + 1)[:, None]
-        lags = np.arange(n) - rows_i + rows_i // 2 + n // 2
-        A[lo:i + 1] = np.take_along_axis(T.real, lags, axis=1)
+        T = np.einsum("mk,km->m", G[m % (2 * P)], twiddle)
+        T += g[n_u:] @ phase
+        # lag j - i + i // 2 sits at index j + n // 2 - (i - i // 2)
+        lo = n // 2 - (i - i // 2)
+        A[i] = T.real[lo:lo + n]
     if not np.all(np.isfinite(A)):
         raise DomainError("wave amplitudes overflow on the Nyquist window")
     return A
@@ -237,14 +227,8 @@ def factor_via_transform(mu, R, n):
     sign-flipped (A^T A is unchanged); entries below the diagonal are
     zeroed and their pre-zero mass reported as leakage.
 
-    The pairing is a lag-FFT assembly (see ``_lag_assembly``): the
-    unphased wave amplitudes stream off one real-axis sweep in real
-    arithmetic, row i reads its lags shifted by i // 2 (odd rows carry
-    one extra half-step factor e^{ixh/2}), and each row costs 16 FFTs of
-    length 2 max(n, 4), so A takes O(n^2 log n) time and O(n^2) memory;
-    panels cut by a breakpoint of w are summed directly.  The shift
-    needs the uniform half-step grid a_i = i h/2 that ``inverse_spectral``
-    returns here.
+    The pairing is the lag-FFT assembly ``_lag_assembly``, one amplitude
+    row at a time: O(n^2 log n) time and O(n^2) memory.
     """
     mu.require_positive()
     _check_size(n, R, "R")

@@ -13,6 +13,7 @@ of f and 1/f (one cumulative sum each), and the classical one scans its
 endpoint pairs in row blocks, in memory linear in the endpoint count.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,10 @@ def _norm_and_level(absf, widths):
     a, w = absf[order], widths[order]
     if a[-1] == 0.0:
         return 0.0, 0.0
+    # both results are 1-homogeneous in |f|: work at max |f| near 1, where
+    # the squares stay in range, and scale back exactly by a power of two
+    e = math.frexp(a[-1])[1]
+    a = np.ldexp(a, -e)
     lo = np.concatenate([[0.0], a])
     hi = np.concatenate([a, [np.inf]])
     Q = np.concatenate([[0.0], np.cumsum(w * a * a)])
@@ -127,7 +132,7 @@ def _norm_and_level(absf, widths):
     k = np.tile(np.arange(lo.size), 2)
     vals = S[k] - B[k] * c + np.sqrt(Q[k] + B[k] * c * c)
     best = int(np.argmin(vals))
-    return float(vals[best]), float(c[best])
+    return float(np.ldexp(vals[best], e)), float(np.ldexp(c[best], e))
 
 
 def norm_L1_plus_L2(f):
@@ -146,8 +151,8 @@ def decompose_L1_L2(f):
     f1 carries the spikes (L1 part), f2 the bounded body (L2 part); the
     truncation level is optimized separately for the positive and
     negative parts, and the recomposition f1 + f2 == f holds exactly in
-    floating point (cells where rounding would break it are pushed
-    entirely into f2).
+    floating point (where f - level rounds, f2 is the exact remainder
+    f - f1).  Every step is 1-homogeneous, so it holds at any scale of f.
     """
     _require_l1l2(f)
     widths = f.grid.widths
@@ -158,19 +163,11 @@ def decompose_L1_L2(f):
     _, c_neg = _norm_and_level(neg, widths)
     f2 = np.clip(v, -c_neg, c_pos)        # representable: v or the level
     f1 = v - f2
-    for _ in range(4):
-        bad = (f1 + f2) != v
-        if not bad.any():
-            break
-        f2[bad] = v[bad] - f1[bad]
-        bad = (f1 + f2) != v
-        if not bad.any():
-            break
-        f1[bad] = v[bad] - f2[bad]
+    # v - level rounds only when the level is below |v|/2 (Sterbenz), and
+    # then f1 lies within a factor 2 of v, so v - f1 is exact: one
+    # subtraction makes f1 + f2 == v, with |f2| <= |v|/2
     bad = (f1 + f2) != v
-    if bad.any():                          # guaranteed-exact fallback
-        f1[bad] = 0.0
-        f2[bad] = v[bad]
+    f2[bad] = v[bad] - f1[bad]
     return f.with_values(f1), f.with_values(f2)
 
 
@@ -181,7 +178,10 @@ def norm_L1(f):
 
 def norm_L2(f):
     _require_l1l2(f)
-    return float(np.sqrt(np.dot(f.grid.widths, f.values ** 2)))
+    # squared at max |f| near 1, then scaled back by a power of two
+    e = math.frexp(np.abs(f.values).max())[1]
+    v = np.ldexp(f.values, -e)
+    return float(np.ldexp(np.sqrt(np.dot(f.grid.widths, v ** 2)), e))
 
 
 # -- Muckenhoupt characteristics ----------------------------------------------
@@ -268,12 +268,18 @@ def _sup_pair_product(t, F, G):
     the diagonal (0 / 0) is skipped, keeping 0 * 0 = 0.
     """
     rows = max(1, _PAIR_BLOCK // t.size)
+    # one set of block arrays for the scan: fresh ones per block went back
+    # to the system and were faulted in again (~16k page faults a pass)
+    bufs = np.empty((3, rows * t.size))
     best = 0.0
     for i0 in range(0, t.size - 1, rows):
         i = slice(i0, min(i0 + rows, t.size - 1))
         j = slice(i0 + 1, None)
-        dt2 = (t[j] - t[i, None]) ** 2
-        prod = (F[j] - F[i, None]) * (G[j] - G[i, None])
+        shape = (i.stop - i0, t.size - i0 - 1)
+        dt2, prod, dG = bufs[:, :shape[0] * shape[1]].reshape((3,) + shape)
+        np.square(np.subtract(t[j], t[i, None], out=dt2), out=dt2)
+        np.multiply(np.subtract(F[j], F[i, None], out=prod),
+                    np.subtract(G[j], G[i, None], out=dG), out=prod)
         np.divide(prod, dt2, out=prod, where=dt2 > 0.0)
         best = max(best, float(np.max(prod)))
     return best

@@ -11,12 +11,13 @@ collapses to a single exponential in wave time t = 2 tau:
     P_t(z) = beta_c(z) e^{iz(t - a_c)},   beta_c(z) = q_c Theta(a_c, z),
 
 with the unphased amplitude beta_c frozen at the cell's left node a_c.
-``_amplitude_rows`` yields beta_c off one sweep: for real z in real
-arithmetic, with the sweep's power-of-two scale put back by ldexp and no
-complex exponential per row and node; for complex z as a mantissa with
-that scale apart.  The phase e^{-iz a_c}, and for complex z the scale,
-go into an exponential that each consumer computes anyway.  ``wave_amplitudes``
-returns alpha_c = beta_c e^{-iz a_c}, so P_t = alpha_c e^{izt}, for
+``_amplitude_rows`` yields beta_c off one sweep, one row per cell: for
+real z in real arithmetic, with the sweep's power-of-two scale put back
+by ldexp and no complex exponential per row and node; for complex z as
+a mantissa with that scale apart.  Every consumer takes each row as it
+comes, and the phase e^{-iz a_c}, and for complex z the scale, go into
+an exponential that it computes anyway.  ``wave_amplitudes`` returns
+alpha_c = beta_c e^{-iz a_c}, so P_t = alpha_c e^{izt}, for
 ``krein_wave`` and the kernel checks; ``f_mu_apply`` integrates
 beta_c e^{iz(t - a_c)} over each segment in closed form; and the
 factor's pairing turns it into a lag shift (``factorize._lag_assembly``).
@@ -39,11 +40,12 @@ def _amplitude_rows(ham, z, k_use):
     beta_c(z) = q_c Theta(a_c, z) = beta * 2**scale and no phase applied.
 
     z is a 1-D real or complex array, and beta a fresh complex array
-    shaped like z.  For real z, Re beta and Im beta are two real
-    combinations of the real sweep state, the power-of-two scale is put
-    back by ldexp, and scale is 0 (|beta_c| = |alpha_c| there, so beta
-    overflows only where the wave does).  Complex z yields the sweep's
-    integer exponents apart, for the consumer's exponential.
+    shaped like z that the consumer may overwrite.  For real z, Re beta
+    and Im beta are two real combinations of the real sweep state, the
+    power-of-two scale is put back by ldexp, and scale is 0 (|beta_c| =
+    |alpha_c| there, so beta overflows only where the wave does).
+    Complex z yields the sweep's integer exponents apart, for the
+    consumer's exponential.
     """
     S = ham.sqrt_cells()
     # q_c = (1, -i) sqrt(H_c): row0 - i*row1
@@ -64,29 +66,17 @@ def _amplitude_rows(ham, z, k_use):
                       + (S[c, 0, 1] - 1j * S[c, 1, 1]) * th1), scale
 
 
-def _unphased(ham, z, t_max):
-    """(betas, scales, wave_nodes) of ``wave_amplitudes`` before the phase:
-    alpha_c = betas[c] * 2**scales[c] * e^{-i z a_c}.  betas is (K, z.size);
-    scales is (K, z.size) for complex z and (K, 1) zeros for real z."""
+def _wave_cells(ham, t_max):
+    """The k_use of ``_amplitude_rows`` for the transform: the number of
+    cells whose waves reach wave time t_max, all of them for None."""
     if not ham.unimodular:
         raise DomainError("waves need a unimodular Hamiltonian")
-    nodes = ham.grid.nodes
-    if t_max is None:
-        k_use = ham.grid.n_cells
-    else:
-        if not (0 <= t_max <= 2.0 * ham.grid.span + 1e-12):
-            raise DomainError(
-                f"t_max = {t_max:g} outside [0, {2 * ham.grid.span:g}]")
-        k_use = max(1, int(np.searchsorted(nodes[:-1], t_max / 2.0,
-                                           side="left")))
-    z = z.reshape(-1)
-    betas = np.empty((k_use, z.size), dtype=complex)
-    scales = np.zeros((k_use, z.size if np.iscomplexobj(z) else 1),
-                      dtype=np.int64)
-    for c, beta, scale in _amplitude_rows(ham, z, k_use):
-        betas[c] = beta
-        scales[c] = scale
-    return betas, scales, 2.0 * nodes[:k_use + 1]
+    t_max = 2.0 * ham.grid.span if t_max is None else t_max
+    if not (0 <= t_max <= 2.0 * ham.grid.span + 1e-12):
+        raise DomainError(
+            f"t_max = {t_max:g} outside [0, {2 * ham.grid.span:g}]")
+    return max(1, int(np.searchsorted(ham.grid.nodes[:-1], t_max / 2.0,
+                                      side="left")))
 
 
 def _phase(z, shift, scales):
@@ -101,8 +91,8 @@ def wave_amplitudes(ham, z, t_max=None):
     Valid for wave times t in [2 a_c, 2 b_c] (cell c's interval doubled).
     Returns (alphas, wave_nodes): alphas is complex of shape (K,) +
     z.shape, and wave_nodes = 2 * grid nodes, truncated to cells reaching
-    t_max.  Real z sweeps in real arithmetic; alpha_c is the unphased
-    beta_c times e^{-i z a_c}.
+    t_max.  Real z sweeps in real arithmetic; each row alpha_c = beta_c
+    e^{-i z a_c} goes into alphas as the sweep yields it.
 
     Known limit: on a decaying wave the relative accuracy is lost once
     Im z * t exceeds ~20, because q Theta(a_c) cancels two components of
@@ -113,14 +103,17 @@ def wave_amplitudes(ham, z, t_max=None):
     """
     z = np.asarray(z)
     z = z.astype(np.result_type(z, np.float64), copy=False)
-    alphas, scales, wave_nodes = _unphased(ham, z, t_max)
-    k_use = alphas.shape[0]
+    k_use = _wave_cells(ham, t_max)
+    zs = z.reshape(-1)
+    alphas = np.empty((k_use, zs.size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(k_use):
-            alphas[c] *= _phase(z.reshape(-1), -ham.grid.nodes[c], scales[c])
+        for c, beta, scale in _amplitude_rows(ham, zs, k_use):
+            alphas[c] = beta
+            alphas[c] *= _phase(zs, -ham.grid.nodes[c], scale)
     if not np.all(np.isfinite(alphas)):
         raise DomainError("wave amplitudes overflow; reduce Im z or span")
-    return alphas.reshape((k_use,) + z.shape), wave_nodes
+    return (alphas.reshape((k_use,) + z.shape),
+            2.0 * ham.grid.nodes[:k_use + 1])
 
 
 def krein_wave(ham, t, z):
@@ -183,11 +176,15 @@ def f_mu_apply(ham, f, z_grid, t_max=None):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     z = z.astype(np.result_type(z, np.float64), copy=False)
-    betas, scales, wave_nodes = _unphased(ham, z, r)
+    k_use = _wave_cells(ham, r)
+    wave_nodes = 2.0 * ham.grid.nodes[:k_use + 1]
     edges = np.unique(np.concatenate([
         f.grid.nodes, np.clip(wave_nodes, 0.0, r)]))
     edges = edges[edges <= r + 1e-15]
     out = np.zeros(z.shape, dtype=complex)
+    # the segments run left to right, so each row is read as it comes
+    rows = _amplitude_rows(ham, z, k_use)
+    c, beta, scale = next(rows)
     for u, v in zip(edges[:-1], edges[1:]):
         if v - u <= 1e-15:
             continue
@@ -195,10 +192,11 @@ def f_mu_apply(ham, f, z_grid, t_max=None):
         fv = float(f(min(mid, f.grid.span * (1 - 1e-15))))
         if fv == 0.0:
             continue
-        c = min(int(np.searchsorted(wave_nodes, mid) - 1), betas.shape[0] - 1)
+        while c < k_use - 1 and wave_nodes[c + 1] < mid:
+            c, beta, scale = next(rows)
         half = 0.5 * (v - u)
         with np.errstate(over="ignore", invalid="ignore"):
-            out += (betas[c] * _phase(z, mid - ham.grid.nodes[c], scales[c])
+            out += (beta * _phase(z, mid - ham.grid.nodes[c], scale)
                     * (fv * 2.0 * half * sinch(z * half)))
     if not np.all(np.isfinite(out)):
         raise DomainError("wave transform overflows; reduce Im z or span")

@@ -228,6 +228,50 @@ def test_config_file_supplies_defaults(tmp_path):
     assert vals == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("ini, where", [
+    ("[szego]\nweight = constant:c=3\nys = 0.5,3\n", "'ys' in [szego]"),
+    ("[common]\nbogus = 1\n[szego]\nweight = constant:c=3\n",
+     "'bogus' in [common]")], ids=["command", "common"])
+def test_config_key_no_option_takes_is_an_error(tmp_path, ini, where):
+    # such a key used to be dropped, and szego ran with its default y = 1
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    proc = run_cli("--config", str(cfg), "szego")
+    assert _single_config_error(proc), proc.stderr
+    assert where in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_config_common_key_of_another_command_is_harmless(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[common]\ncells = 8\nweight = constant:c=3\n"
+                   "[szego]\ny = 2\n")
+    proc = run_cli("--config", str(cfg), "szego")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["2.0", "0.0"]
+
+
+def test_early_errors_leave_numpy_unimported():
+    # --help, an argparse error and a malformed weight spec answer before
+    # the numeric imports (the start-up promise of the cli docstring)
+    code = ("import contextlib, io, sys\n"
+            "from canonfactor.cli import main\n"
+            "codes = []\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    for argv in (['--help'], ['invert', '--cells'],\n"
+            "                 ['szego', '--weight', 'step:inner=x']):\n"
+            "        try:\n"
+            "            codes.append(main(argv))\n"
+            "        except SystemExit as exc:\n"
+            "            codes.append(exc.code)\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "2,", "2]", "False"]
+
+
 @pytest.mark.parametrize("grid", ["0:1:-5", "0:1:0", "0:1:2.5", "nan:1:3",
                                   "0:inf:3", "0:1", "0:1:3:4"])
 def test_exit_code_2_bad_density_grid(tmp_path, grid):

@@ -59,6 +59,46 @@ def test_split_degenerate_cases():
     assert np.array_equal(f1.values + f2.values, c.values)
 
 
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_l1l2_functionals_are_homogeneous_at_extreme_scales(s):
+    # the squares of s * f overflow or underflow double range; the norms
+    # and the split must still scale with s (nan, inf, 0 and a one-sided
+    # split before)
+    nodes = [0.0, 1.0, 2.0, 3.0, 3.5]
+    base = np.array([3.0, 1.0, -1.0, 0.2])
+    f, g = HalfLineFunction(nodes, base), HalfLineFunction(nodes, s * base)
+    with np.errstate(all="raise"):
+        assert norm_L1_plus_L2(g) == pytest.approx(s * norm_L1_plus_L2(f),
+                                                   rel=1e-14)
+        assert norm_L2(g) == pytest.approx(s * norm_L2(f), rel=1e-14)
+        g1, g2 = decompose_L1_L2(g)
+    assert abs(norm_L1_plus_L2(f) - 3.3196385345395663) < 1e-14
+    f1, f2 = decompose_L1_L2(f)
+    assert np.array_equal(g1.values + g2.values, g.values)
+    assert np.all(np.abs(g1.values) <= np.abs(g.values))
+    assert np.all(np.abs(g2.values) <= np.abs(g.values))
+    assert np.allclose(g1.values, s * f1.values, rtol=1e-14, atol=0.0)
+    assert np.allclose(g2.values, s * f2.values, rtol=1e-14, atol=0.0)
+
+
+def test_split_fixup_is_exact_where_the_level_rounds():
+    # count the cells where v - level rounds, so the fix-up is exercised
+    rng = np.random.default_rng(7)
+    seen = 0
+    for _ in range(400):
+        vals = rng.normal(size=6) * 10.0 ** rng.uniform(-8, 8, 6)
+        f = HalfLineFunction(np.arange(7.0) * 0.3, vals)
+        f1, f2 = decompose_L1_L2(f)
+        assert np.array_equal(f1.values + f2.values, vals)
+        assert np.all(np.abs(f1.values) <= np.abs(vals))
+        assert np.all(np.abs(f2.values) <= np.abs(vals))
+        _, c_pos = _norm_and_level(np.maximum(vals, 0.0), f.grid.widths)
+        _, c_neg = _norm_and_level(np.maximum(-vals, 0.0), f.grid.widths)
+        clipped = np.clip(vals, -c_neg, c_pos)
+        seen += int(np.sum((vals - clipped) + clipped != vals))
+    assert seen > 0
+
+
 def test_infimal_norm_below_both_pure_norms():
     rng = np.random.default_rng(59)
     for _ in range(20):

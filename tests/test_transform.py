@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          ValidationError, constant_weight, f_mu_apply, isometry_residual,
-                         inverse_spectral, krein_wave, random_unimodular,
-                         reproducing_kernel, sinc_bump_weight,
-                         transfer_matrix, wave_amplitudes)
+                         factor_via_transform, inverse_spectral, krein_wave,
+                         random_unimodular, reproducing_kernel,
+                         sinc_bump_weight, transfer_matrix, wave_amplitudes)
+from canonfactor import transform
 
 
 def test_sqrt_psd_hand_values():
@@ -240,3 +241,33 @@ def test_f_mu_apply_keeps_the_scale_in_the_exponent():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflow"):
             f_mu_apply(ham, f, np.array([1.0 - 3.0j]))
+
+
+_MU = sinc_bump_weight(0.5, 1.0)
+_HAM = inverse_spectral(_MU, 6.4, 64)
+_F = HalfLineFunction(np.linspace(0.0, 2.0, 5), [0.5, -1.0, 0.0, 2.0],
+                      tail=0.0)
+_X = np.linspace(-10.0, 10.0, 41)
+_ONE_SWEEP = {
+    "wave_amplitudes": lambda: wave_amplitudes(_HAM, _X + 0.3j),
+    "f_mu_apply": lambda: f_mu_apply(_HAM, _F, _X),
+    "krein_wave": lambda: krein_wave(_HAM, 3.0, 1.0 + 0.5j),
+    "isometry_residual": lambda: isometry_residual(_HAM, _MU, _F, X=50.0),
+    "factor_via_transform": lambda: factor_via_transform(_MU, 12.8, 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_SWEEP))
+def test_each_consumer_sweeps_once(name, monkeypatch):
+    # every consumer reads the amplitude rows off a single sweep; a
+    # consumer that sweeps again to re-read the rows fails here
+    calls = []
+    sweep = transform._sweep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "_sweep", counting)
+    _ONE_SWEEP[name]()
+    assert len(calls) == 1
