@@ -3,8 +3,8 @@ transform, Szego and A2 weight functionals, and triangular factorization
 of truncated Wiener-Hopf matrices.
 
 Submodules are imported lazily so that lightweight entry points (the
-command line front end in particular) can configure the process, e.g.
-BLAS thread caps, before numpy comes in.
+command line front end in particular) can answer a malformed input
+before numpy comes in.
 """
 
 import importlib

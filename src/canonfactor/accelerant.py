@@ -83,7 +83,7 @@ def accelerant_from_weight(mu, t):
     if not np.all(np.isfinite(t)):
         raise ValidationError("accelerant times must be finite")
     if mu.is_constant:
-        if mu.tail != 1.0:
+        if mu.c1 != 1.0:
             raise DomainError(
                 "w - 1 is not integrable for constant w != 1; truncate first")
         return np.zeros_like(t)

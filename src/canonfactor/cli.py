@@ -1,9 +1,10 @@
 """Batch command line front end.
 
 Deliberately import-light at module level: all numeric imports happen
-inside the handlers, after the weight spec is parsed, so --help and a
-malformed command line, INI file or weight spec answer without the
-~0.9 s import of numpy and scipy (later checks may come after it).
+inside the handlers, after every flag value and the weight spec are
+parsed, so --help and a malformed command line, INI file, flag value or
+weight spec answer without the ~0.9 s import of numpy and scipy (an
+unknown weight family or an unreadable file may come after it).
 
 Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
 (including a malformed command line, a non-finite number, and any path
@@ -254,11 +255,19 @@ def _fmtc(z):
 # -- handlers ------------------------------------------------------------------
 
 def _cmd_forward(args, out):
+    ts = _parse_list(args.times, float)
+    zs = _parse_list(args.z, complex)
+    if args.density_grid:
+        try:
+            a, b, n = args.density_grid.split(":")
+            a, b, n = float(a), float(b), int(n)
+            if not (math.isfinite(a) and math.isfinite(b) and n >= 1):
+                raise ValueError("need finite a, b and an integer n >= 1")
+        except ValueError as exc:
+            raise ConfigError(f"bad density grid {args.density_grid!r}: {exc}")
     from .hamiltonian import read_hamiltonian
     from .solver import transfer_matrix
     ham = read_hamiltonian(args.hamiltonian)
-    ts = _parse_list(args.times, float)
-    zs = _parse_list(args.z, complex)
     if ts and zs:
         out.write("# t Re(z) Im(z) m00 m01 m10 m11 (Re Im each)")
         for t in ts:
@@ -269,13 +278,6 @@ def _cmd_forward(args, out):
     if args.density_grid:
         import numpy as np
         from .weyl import spectral_density
-        try:
-            a, b, n = args.density_grid.split(":")
-            a, b, n = float(a), float(b), int(n)
-            if not (np.isfinite([a, b]).all() and n >= 1):
-                raise ValueError("need finite a, b and an integer n >= 1")
-        except ValueError as exc:
-            raise ConfigError(f"bad density grid {args.density_grid!r}: {exc}")
         xs = np.linspace(a, b, n)
         dens = spectral_density(ham, xs)
         out.write("# x density")
@@ -285,13 +287,13 @@ def _cmd_forward(args, out):
 
 
 def _cmd_weyl(args, out):
+    zs = _parse_list(args.z, complex)
+    if not zs:
+        raise ConfigError("--z names no point")
     from .hamiltonian import read_hamiltonian
     from .weyl import weyl_sweep
     import numpy as np
     ham = read_hamiltonian(args.hamiltonian)
-    zs = _parse_list(args.z, complex)
-    if not zs:
-        raise ConfigError("--z names no point")
     m, d = weyl_sweep(ham, np.array(zs), tol=args.tol_weyl)
     worst = float(np.max(d))
     if worst > args.tol_weyl:
@@ -305,8 +307,8 @@ def _cmd_weyl(args, out):
 
 
 def _cmd_szego(args, out):
-    mu = _resolve_weight(args.weight)
     ys = _parse_list(args.y, float)
+    mu = _resolve_weight(args.weight)
     from .weyl import szego_K
     out.write("# y K(mu, iy)")
     for y in ys:
@@ -353,20 +355,20 @@ def _cmd_invert(args, out):
 
 
 def _cmd_transform(args, out):
+    zs = _parse_list(args.z, complex)
+    mu = _resolve_weight(args.weight) if args.weight else None
     from .halfline import read_halfline
     from .hamiltonian import read_hamiltonian
     from .transform import f_mu_apply, isometry_residual
     ham = read_hamiltonian(args.hamiltonian)
     f = read_halfline(args.function)
-    zs = _parse_list(args.z, complex)
     if zs:
         import numpy as np
         vals = f_mu_apply(ham, f, np.array(zs))
         out.write("# Re(z) Im(z) Re(Ff) Im(Ff)")
         for z, v in zip(zs, np.atleast_1d(vals)):
             out.write(f"{_fmtc(z)} {_fmtc(v)}")
-    if args.weight:
-        mu = _resolve_weight(args.weight)
+    if mu is not None:
         res = isometry_residual(ham, mu, f, X=args.x_truncation)
         out.write(f"isometry_residual={_fmt(res)}")
     return 0
@@ -388,7 +390,6 @@ def _cmd_factorize(args, out):
 
 
 def _cmd_verify(args, out):
-    from .acceptance import run_acceptance
     indices = None
     if args.only.strip():
         try:
@@ -397,6 +398,7 @@ def _cmd_verify(args, out):
             raise ConfigError(f"bad criterion list {args.only!r}: {exc}")
         if not indices:
             raise ConfigError(f"criterion list {args.only!r} names none")
+    from .acceptance import run_acceptance
     results = run_acceptance(indices=indices, printer=out.write,
                              seed=args.seed)
     failed = [r.index for r in results if not r.passed]

@@ -76,7 +76,7 @@ def build_toeplitz(mu, n, h):
     mu.require_numeric()
     _check_size(n, h, "h")
     if mu.is_constant:
-        c = mu.tail
+        c = mu.c1
         W = c * np.eye(n)
         lo = hi = c
     else:
@@ -234,7 +234,7 @@ def factor_via_transform(mu, R, n):
     _check_size(n, R, "R")
     h = float(R) / n
     if mu.is_constant:
-        c = mu.tail
+        c = mu.c1
         A = np.sqrt(c) * np.eye(n)
         report = FactorReport(n, h, 0.0, 1.0, 0.0, 0.0, float(np.sqrt(c)),
                               (c, c))

@@ -61,9 +61,7 @@ class HalfLineFunction:
 
     def dilate(self, y):
         """t -> f(t/y): stretch the grid, keep values."""
-        if y <= 0:
-            raise DomainError("dilation factor must be positive")
-        return HalfLineFunction(Grid(self.grid.nodes * y), self.values.copy(),
+        return HalfLineFunction(self.grid.dilate(y), self.values.copy(),
                                 tail=self.tail)
 
     def with_values(self, values, tail="keep"):

@@ -56,6 +56,12 @@ class Grid:
     def span(self):
         return float(self.nodes[-1])
 
+    def dilate(self, y):
+        """The nodes times a finite y > 0."""
+        if not np.isfinite(y) or y <= 0:
+            raise DomainError(f"dilation factor must be positive, got {y}")
+        return Grid(self.nodes * y)
+
     def cell_index(self, t):
         """Index of the cell containing t (last cell closed on the right)."""
         if not (0 <= t <= self.nodes[-1]):
@@ -78,11 +84,13 @@ class Hamiltonian:
     grid : Grid
     cells : array_like, shape (K, 2, 2)
         One symmetric PSD matrix per grid cell.
-    unimodular : bool
-        Declare det H(t) = 1 per cell; validated on construction.
+
+    ``unimodular`` is read off the cells on construction: True when every
+    cell has |det - 1| <= DET_TOL, the gauge the waves need.  Cells and
+    grid are read-only, so it cannot go stale.
     """
 
-    def __init__(self, grid, cells, unimodular=False):
+    def __init__(self, grid, cells):
         if not isinstance(grid, Grid):
             grid = Grid(grid)
         cells = np.asarray(cells, dtype=float)
@@ -93,32 +101,30 @@ class Hamiltonian:
         cells.setflags(write=False)
         self.grid = grid
         self.cells = cells
-        self.unimodular = bool(unimodular)
         report = validate(self)
         if not report.ok:
             raise ValidationError("; ".join(report.issues))
+        self.unimodular = report.max_det_deviation <= DET_TOL
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def identity(cls, span, n_cells=1):
         g = Grid(np.linspace(0.0, span, n_cells + 1))
-        return cls(g, np.tile(np.eye(2), (n_cells, 1, 1)), unimodular=True)
+        return cls(g, np.tile(np.eye(2), (n_cells, 1, 1)))
 
     @classmethod
-    def constant(cls, matrix, span, n_cells=1, unimodular=None):
+    def constant(cls, matrix, span, n_cells=1):
         m = np.asarray(matrix, dtype=float)
-        if unimodular is None:
-            unimodular = abs(np.linalg.det(m) - 1.0) <= DET_TOL
         g = Grid(np.linspace(0.0, span, n_cells + 1))
-        return cls(g, np.tile(m, (n_cells, 1, 1)), unimodular=unimodular)
+        return cls(g, np.tile(m, (n_cells, 1, 1)))
 
     @classmethod
-    def from_entries(cls, nodes, h1, h, h2, unimodular=False):
+    def from_entries(cls, nodes, h1, h, h2):
         h1 = np.asarray(h1, float); h = np.asarray(h, float); h2 = np.asarray(h2, float)
         cells = np.stack(
             [np.stack([h1, h], axis=-1), np.stack([h, h2], axis=-1)], axis=-2)
-        return cls(Grid(nodes), cells, unimodular=unimodular)
+        return cls(Grid(nodes), cells)
 
     # -- views ------------------------------------------------------------
 
@@ -147,7 +153,7 @@ class Hamiltonian:
     def dual(self):
         """Dual Hamiltonian J^T H J (swaps h1 <-> h2 and flips h)."""
         cells = np.einsum("ij,kjl,lm->kim", J.T, self.cells, J)
-        return Hamiltonian(self.grid, cells, unimodular=self.unimodular)
+        return Hamiltonian(self.grid, cells)
 
     def dilate(self, y):
         """Time rescaling t -> H(t / y): grid nodes multiply by y.
@@ -155,10 +161,7 @@ class Hamiltonian:
         Cell matrices are untouched, so PSD/unimodularity and cell
         eigenvalues are preserved exactly.
         """
-        if not np.isfinite(y) or y <= 0:
-            raise DomainError(f"dilation factor must be positive, got {y}")
-        return Hamiltonian(Grid(self.grid.nodes * y), self.cells,
-                           unimodular=self.unimodular)
+        return Hamiltonian(self.grid.dilate(y), self.cells)
 
     def sqrt_cells(self):
         """Per-cell symmetric PSD square roots, shape (K, 2, 2)."""
@@ -167,8 +170,7 @@ class Hamiltonian:
     def __eq__(self, other):
         return (isinstance(other, Hamiltonian)
                 and self.grid == other.grid
-                and np.array_equal(self.cells, other.cells)
-                and self.unimodular == other.unimodular)
+                and np.array_equal(self.cells, other.cells))
 
     def __repr__(self):
         tag = "unimodular, " if self.unimodular else ""
@@ -202,7 +204,7 @@ def random_unimodular(rng, n_cells, span):
     h1 = np.exp(rng.uniform(-0.8, 0.8, n_cells))
     h = rng.uniform(-0.6, 0.6, n_cells)
     h2 = (1.0 + h * h) / h1
-    return Hamiltonian.from_entries(nodes, h1, h, h2, unimodular=True)
+    return Hamiltonian.from_entries(nodes, h1, h, h2)
 
 
 class ValidationReport:
@@ -216,8 +218,9 @@ class ValidationReport:
 
 
 def validate(ham):
-    """Check finiteness, symmetry, PSD-ness and (if declared)
-    unimodularity per cell; a determinant that overflows is rejected.
+    """Check finiteness, symmetry and PSD-ness per cell; a determinant
+    that overflows is rejected.  ``max_det_deviation`` is max |det - 1|
+    over the cells, from which the Hamiltonian reads its unimodularity.
 
     Returns a ValidationReport rather than raising, so callers can decide.
     """
@@ -239,10 +242,6 @@ def validate(ham):
         bad = int(np.argmin(dets))
         issues.append(f"cell {bad} has det = {dets[bad]:.3g} < 0 (not PSD)")
     max_dev = float(np.max(np.abs(dets - 1.0))) if dets.size else 0.0
-    if ham.unimodular and max_dev > DET_TOL:
-        bad = int(np.argmax(np.abs(dets - 1.0)))
-        issues.append(
-            f"declared unimodular but cell {bad} has det = {dets[bad]:.12g}")
     return ValidationReport(not issues, issues, max_dev)
 
 
@@ -261,12 +260,10 @@ def write_hamiltonian(ham, path):
         [n[:-1], n[1:], c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]]))
 
 
-def read_hamiltonian(path, unimodular=None):
+def read_hamiltonian(path):
     _, rows = read_table(path, _HAM_HEADER, 0, 5)
     if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
         raise ValidationError(f"{path}: cell intervals do not tile the grid")
     nodes = np.append(rows[:, 0], rows[-1, 1])
     h1, h, h2 = rows[:, 2:].T
-    if unimodular is None:
-        unimodular = bool(np.all(np.abs(h1 * h2 - h * h - 1.0) <= DET_TOL))
-    return Hamiltonian.from_entries(nodes, h1, h, h2, unimodular=unimodular)
+    return Hamiltonian.from_entries(nodes, h1, h, h2)

@@ -263,7 +263,7 @@ def inverse_spectral(mu, R, N, report=False):
     p = 0.5 * (y[0::2] + y[1::2])
     cells = _cells_from_wave(p)
     grid = Grid(np.linspace(0.0, float(R), N + 1))
-    ham = Hamiltonian(grid, cells, unimodular=True)
+    ham = Hamiltonian(grid, cells)
     if report:
         lo, hi = _certified_extremes(col)
         rep = InversionReport(N, eta, float(lo), float(hi),

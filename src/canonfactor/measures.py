@@ -74,7 +74,8 @@ class SpectralMeasure:
 
     @property
     def is_constant(self):
-        return self.label == "constant"
+        """w = c > 0, read off the bounds; the label only names the weight."""
+        return 0 < self.c1 == self.c2
 
     def closed_form_accelerant(self):
         """Callable k(t) when known exactly, else None."""

@@ -41,8 +41,9 @@ _MAX_GROWTH = 200.0     # largest |Im z| * step * d of one substep
 def sinch(x):
     """sin(x)/x for real or complex x; real x gives a real result.
 
-    Below |x| = 1e-4 the series 1 - x^2/6 + x^4/120 avoids the
-    cancellation at 0.
+    Below |x| = 1e-4 the series 1 - x^2/6 + x^4/120 replaces the quotient,
+    which loses nothing to cancellation but is 0/0 at 0, and inf+nanj in
+    numpy's complex division by a subnormal x (1e-310, 5e-324, 1e-310j).
     """
     x = np.asarray(x)
     x = x.astype(np.result_type(x, np.float64), copy=False)

@@ -226,7 +226,7 @@ def test_lag_assembly_needs_the_half_step_grid():
     ham = inverse_spectral(mu, _R / 2.0, n)
     nodes = ham.grid.nodes.copy()
     nodes[1:-1] += 0.1 * h * np.sin(np.arange(1, n))
-    bent = Hamiltonian(Grid(nodes), ham.cells, unimodular=True)
+    bent = Hamiltonian(Grid(nodes), ham.cells)
     with pytest.raises(DomainError, match="i h/2"):
         factorize._lag_assembly(bent, mu, h, n)
     with pytest.raises(DomainError, match="i h/2"):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from canonfactor import (DomainError, Grid, Hamiltonian, ValidationError,
-                         random_unimodular, read_hamiltonian, validate,
-                         write_hamiltonian)
+from canonfactor import (DomainError, Grid, HalfLineFunction, Hamiltonian,
+                         ValidationError, random_unimodular, read_hamiltonian,
+                         validate, wave_amplitudes, write_hamiltonian)
 
 
 def test_grid_basics():
@@ -45,7 +45,7 @@ def test_identity_and_constant_constructors():
 def test_from_entries_and_accessors():
     nodes = [0.0, 1.0, 3.0]
     ham = Hamiltonian.from_entries(nodes, [2.0, 1.0], [1.0, 0.0],
-                                   [1.0, 1.0], unimodular=True)
+                                   [1.0, 1.0])
     assert np.allclose(ham.h1, [2.0, 1.0])
     assert np.allclose(ham.h, [1.0, 0.0])
     assert np.allclose(ham.h2, [1.0, 1.0])
@@ -68,6 +68,15 @@ def test_dilate_scales_nodes_only():
     assert np.allclose(dil.cells, ham.cells)
     with pytest.raises(DomainError):
         ham.dilate(-1.0)
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, 0.0, -1.0])
+def test_dilate_rejects_a_bad_factor(y):
+    ham = Hamiltonian.identity(2.0, 2)
+    f = HalfLineFunction.from_uniform([1.0, 2.0], tail=1.0)
+    for obj in (ham, f):
+        with pytest.raises(DomainError, match="must be positive"):
+            obj.dilate(y)
 
 
 def test_sqrt_cells_hand_value():
@@ -108,9 +117,23 @@ def test_validate_flags_defects():
 
 
 def test_unimodular_flag_checked():
-    with pytest.raises(ValidationError):
-        Hamiltonian.from_entries([0.0, 1.0], [2.0], [0.0], [1.0],
-                                 unimodular=True)
+    # det = 2: the flag is read off the cells, and the waves refuse them
+    ham = Hamiltonian.from_entries([0.0, 1.0], [2.0], [0.0], [1.0])
+    assert not ham.unimodular
+    with pytest.raises(DomainError, match="unimodular"):
+        wave_amplitudes(ham, [1.0])
+
+
+def test_unimodular_read_off_the_cells(tmp_path):
+    h = Hamiltonian.from_entries([0, 1, 2], [2, 1], [1, 0], [1, 1])
+    assert h.unimodular
+    path = tmp_path / "h.txt"
+    write_hamiltonian(h, path)
+    assert read_hamiltonian(path) == h
+    # the waves run on det-1 cells however they were built
+    alphas, _ = wave_amplitudes(h, [0.5, 1.0])
+    again, _ = wave_amplitudes(Hamiltonian(h.grid, h.cells), [0.5, 1.0])
+    assert np.all(np.isfinite(alphas)) and np.array_equal(alphas, again)
 
 
 def test_hamiltonian_file_round_trip(tmp_path):

@@ -57,6 +57,12 @@ def test_sinch_real_dtypes():
         assert sinch(x).dtype == np.float64
 
 
+def test_sinch_subnormal_complex():
+    # numpy's complex division by these gives inf+nanj; the series does not
+    z = np.array([1e-310 + 0j, 5e-324 + 0j, 1e-310j])
+    assert np.array_equal(sinch(z), np.ones(3))
+
+
 def test_free_system_is_rotation():
     ham = Hamiltonian.identity(8.0, 8)
     zs = np.linspace(-4.0, 4.0, 17)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from canonfactor import (DomainError, SpectralMeasure, ValidationError,
-                         accelerant_from_weight, constant_weight,
-                         cosine_bump_weight, read_weight, sampled_weight,
-                         sinc_bump_weight, step_weight, truncate_weight,
-                         wave_values_at_zero, weight_by_name, write_weight)
+                         accelerant_from_weight, build_toeplitz,
+                         constant_weight, cosine_bump_weight,
+                         factor_via_transform, inverse_spectral, read_weight,
+                         sampled_weight, sinc_bump_weight, step_weight,
+                         szego_K, truncate_weight, wave_values_at_zero,
+                         weight_by_name, write_weight)
 from canonfactor import accelerant
 
 
@@ -21,6 +23,27 @@ def test_weight_family_bounds():
     assert mu.c1 == 1.0 and mu.c2 == 1.5
     mu = constant_weight(0.7)
     assert mu.is_constant and mu(123.0) == 0.7
+
+
+@pytest.mark.parametrize("keep_tail", [True, False])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_equal_samples_take_the_constant_path(c, keep_tail):
+    # constancy is read off the bounds, with or without a declared tail
+    mu = sampled_weight([-1.0, 0.0, 2.0], [c, c, c],
+                        tail=c if keep_tail else None)
+    assert mu.is_constant
+    if c == 1.0:
+        assert not accelerant_from_weight(mu, [0.0, 1.0]).any()
+    ham = inverse_spectral(mu, 4.0, 8)
+    assert np.array_equal(ham.cells, np.tile(np.diag([1.0 / c, c]), (8, 1, 1)))
+    assert np.array_equal(build_toeplitz(mu, 5, 0.5).matrix, c * np.eye(5))
+    A, _ = factor_via_transform(mu, 4.0, 6)
+    assert np.array_equal(A, np.sqrt(c) * np.eye(6))
+    assert szego_K(mu, 2.0j) == 0.0
+
+
+def test_zero_bounds_are_not_constant():
+    assert not SpectralMeasure(np.zeros_like, 0.0, 0.0).is_constant
 
 
 def test_weight_by_name_dispatch():

@@ -219,7 +219,7 @@ def _continued(ham, length):
     """ham followed by its last cell on [R, R + length]."""
     nodes = np.append(ham.grid.nodes, ham.grid.span + length)
     cells = np.concatenate([ham.cells, ham.cells[-1:]])
-    return Hamiltonian(Grid(nodes), cells, unimodular=ham.unimodular)
+    return Hamiltonian(Grid(nodes), cells)
 
 
 def _poisson_mean(ham, x, eps, T=400.0):
