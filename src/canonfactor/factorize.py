@@ -16,30 +16,38 @@ residual alone, and reads every 2-norm of its report off a symmetric
 eigensolve of a matrix it already holds.  ``build_toeplitz`` adds the
 certified extremes of W, from the O(n^2) brackets of the inverse layer.
 
-The pairing depends on i and j only through the lag j - i + i // 2 once
-the unphased wave amplitude of row i is known (the cells of the
-recovered Hamiltonian start at i h/2, so the wave's phase is a lag
-shift), and its quadrature nodes sit on uniform panels of the Nyquist
-window, so each row is a handful of FFTs over the panels: A takes
-O(n^2 log n) time.  The amplitudes come off one real-axis sweep in
-real arithmetic, and each row is paired as it arrives, so memory is
-O(n^2), the size of A itself.  Panels that a breakpoint of w cuts are split there
-and summed directly.
+The pairing needs no sweep.  Row i pairs conj(alpha_i) = conj(q_i
+Theta(a_i, x)) e^{ix a_i}, a_i = i h/2, against e^{ixhj} on quadrature
+nodes x with weights c(x) (w included), so A[i, j] = Re conj(q_i) .
+U_i(2j - i) for the moments U_c(k) = sum_x c(x) Theta(a_c, x)
+e^{ixhk/2}.  A recovered cell has width h/2 and det 1, so its
+propagator cos(xh/2) I - sin(xh/2) J C_c shifts k by one, and
+
+    U_0(k) = (mu(k), 0),    mu(k) = sum_x c(x) e^{ixhk/2},
+    U_{c+1}(k) = (U_c(k+1) + U_c(k-1))/2 - J C_c (U_c(k+1) - U_c(k-1))/(2i).
+
+The moments of w are one FFT over the quadrature panels, and each cell
+is two 2x2 products on O(n) lags: A takes O(n^2) time and memory.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .accelerant import _toeplitz_column
 from .errors import DomainError, SpectralPositivityError, ValidationError
+from .hamiltonian import J
 from .inverse import _certified_extremes, inverse_spectral
 from .quadrature import gauss_legendre
 from .tables import read_table, write_table
-from .transform import _amplitude_rows
 
 _ORDER = 16             # Gauss-Legendre nodes per panel of the pairing
+
+
+def _dense_toeplitz(col):
+    """The symmetric Toeplitz matrix with first column col."""
+    i = np.arange(len(col))
+    return col[np.abs(i[:, None] - i)]
 
 
 @dataclass
@@ -82,7 +90,7 @@ def build_toeplitz(mu, n, h):
     else:
         col = _toeplitz_column(mu, h, n)
         lo, hi = map(float, _certified_extremes(col))
-        W = toeplitz(col)
+        W = _dense_toeplitz(col)
     if lo <= 0.0:
         raise SpectralPositivityError(
             f"matrix not positive definite (min eigenvalue {lo:.3e}); "
@@ -143,30 +151,12 @@ class FactorReport:
         return "\n".join(lines)
 
 
-def _lag_assembly(ham, mu, h, n):
-    """A[i, j] = Re T_i(j - i + i // 2), T_i(m) = sum_x g_i(x) e^{ixhm}.
-
-    Row i pairs the wave alpha_i = e^{-ix a_i} beta_i against the
-    exponentials: conj(alpha_i) e^{ixh(j - i)} = conj(beta_i) e^{ixh(j - i
-    + i/2)}, since a_i = i h/2 on the uniform half-step grid of
-    ``inverse_spectral`` (any other grid raises DomainError).  So the
-    phase is a lag shift of i // 2, with g_i = conj(beta_i) c for even i
-    and conj(beta_i) c e^{ixh/2} for odd i, where beta_i comes off the
-    real sweep state in real arithmetic.
-
-    The nodes x are order-16 Gauss-Legendre on P = max(n, 4) uniform
-    panels of [0, pi/h], with c = w * weight * h/pi.  On an uncut panel p
-    the nodes are x = (p + u_k) pi/(P h), so the sum over those panels is
-    one length-2P FFT over p per offset u_k, then a 16-term sum against
-    the twiddles e^{i pi m u_k / P}.  A panel that a breakpoint of w
-    cuts is split there, and its nodes are summed directly against the
-    phases e^{i x h m}.  The lags m run over [-(n // 2), n - 1].  Each
-    amplitude row is paired as it comes off the real-axis sweep, so
-    memory is A plus O(n * cut nodes).
-    """
-    a = ham.grid.nodes[:n]
-    if not np.allclose(a, 0.5 * h * np.arange(n), rtol=1e-13, atol=1e-13 * h):
-        raise DomainError("the lag assembly needs the cell nodes i h/2")
+def _moments(mu, h, n):
+    """mu(k) = sum_x c(x) e^{ixhk/2}, k = -2n..2n, over the quadrature:
+    order-16 Gauss-Legendre on P = max(n, 4) panels of [0, pi/h], c = w *
+    weight * h/pi.  Uncut panels, x = (p + u_q) pi/(P h), are one
+    length-4P FFT over p and a 16-term twiddle sum; a panel that a
+    breakpoint of w cuts is split there and summed directly."""
     X = np.pi / h
     P = max(n, 4)
     edges = np.linspace(0.0, X, P + 1)
@@ -177,32 +167,39 @@ def _lag_assembly(ham, mu, h, n):
     x_u, wq_u = gauss_legendre(_ORDER, edges[:-1], edges[1:])   # (P, 16)
     x_c, wq_c = gauss_legendre(_ORDER, fine[:-1][cut[panel]],
                                fine[1:][cut[panel]])
-    x = np.concatenate([x_u.ravel(), x_c.ravel()])
-    wq = np.concatenate([np.where(cut[:, None], 0.0, wq_u).ravel(),
-                         wq_c.ravel()])
-    c = np.asarray(mu(x), dtype=float) * wq * (h / np.pi)
-    half_shift = np.exp(0.5j * h * x)
-
-    m = np.arange(-(n // 2), n)                                 # the lags
+    c_u = np.where(cut[:, None], 0.0, wq_u) * mu(x_u)
+    k = np.arange(2 * n + 1)
     u, _ = gauss_legendre(_ORDER, 0.0, 1.0)
-    twiddle = np.exp(1j * np.pi / P * u[:, None] * m)           # (16, L)
-    phase = np.exp(1j * h * x_c.reshape(-1, 1) * m)             # (Qc, L)
-    n_u = x_u.size
+    G = np.fft.rfft(c_u, 4 * P, axis=0)[:k.size].conj()
+    m = np.einsum("kq,kq->k", G, np.exp(0.5j * np.pi / P * k[:, None] * u))
+    x_c, c_c = x_c.ravel(), wq_c.ravel() * mu(x_c.ravel())
+    m += np.exp(0.5j * h * k[:, None] * x_c) @ c_c
+    m *= h / np.pi
+    return np.concatenate([m[:0:-1].conj(), m])     # c real: mu(-k) = conj
 
+
+def _lag_assembly(ham, mu, h, n):
+    """A[i, j] = Re conj(q_i) . U_i(2j - i), q_i = (1, -i) sqrt(C_i), by
+    the moment recursion of the module docstring written as U_{c+1}(k) =
+    M_c U_c(k+1) + conj(M_c) U_c(k-1), M_c = (I + i J C_c)/2.  U_c is
+    held for |k| <= 2n - c, all the lags later rows read.  DomainError
+    unless a_i = i h/2 (the phase is then a lag shift) and det C_c = 1
+    (the propagator is then cos(xh/2) I - sin(xh/2) J C_c)."""
+    on_grid = np.allclose(ham.grid.nodes[:n], 0.5 * h * np.arange(n),
+                          rtol=1e-13, atol=1e-13 * h)
+    if not (ham.unimodular and on_grid):
+        raise DomainError("lag assembly needs det-1 cells at the nodes i h/2")
+    U = np.zeros((2, 4 * n + 1), dtype=complex)
+    U[0] = _moments(mu, h, n)
+    M = 0.5 * (np.eye(2) + 1j * (J @ ham.cells[:n]))
+    S = ham.sqrt_cells()
     A = np.empty((n, n))
-    for i, g, _ in _amplitude_rows(ham, x, n):          # real x: scale 0
-        g.real *= c
-        g.imag *= -c                                    # g = conj(beta) c
-        if i % 2:
-            g *= half_shift
-        # unscaled inverse FFT: G[m, k] = sum_p g[p, k] e^{i pi p m/P}
-        G = np.fft.ifft(g[:n_u].reshape(P, _ORDER), 2 * P, axis=0,
-                        norm="forward")
-        T = np.einsum("mk,km->m", G[m % (2 * P)], twiddle)
-        T += g[n_u:] @ phase
-        # lag j - i + i // 2 sits at index j + n // 2 - (i - i // 2)
-        lo = n // 2 - (i - i // 2)
-        A[i] = T.real[lo:lo + n]
+    for i in range(n):
+        if i:
+            U = M[i - 1] @ U[:, 2:] + M[i - 1].conj() @ U[:, :-2]
+        # U[:, m] holds U_i(m - 2n + i): lag 2j - i sits at 2(n - i + j)
+        Ui = U[:, 2 * (n - i):4 * n - 2 * i:2]
+        A[i] = S[i, 0] @ Ui.real - S[i, 1] @ Ui.imag
     if not np.all(np.isfinite(A)):
         raise DomainError("wave amplitudes overflow on the Nyquist window")
     return A
@@ -225,10 +222,8 @@ def factor_via_transform(mu, R, n):
     phi_j = sqrt(h/2pi) P_{t_j} on the Nyquist window, and fills
     A[i, j] = <e_j, phi_i>_{L2(w dx)}.  Rows with negative diagonal are
     sign-flipped (A^T A is unchanged); entries below the diagonal are
-    zeroed and their pre-zero mass reported as leakage.
-
-    The pairing is the lag-FFT assembly ``_lag_assembly``, one amplitude
-    row at a time: O(n^2 log n) time and O(n^2) memory.
+    zeroed and their pre-zero mass reported as leakage.  A comes off the
+    moment recursion ``_lag_assembly``: O(n^2) time and memory, no sweep.
     """
     mu.require_positive()
     _check_size(n, R, "R")
@@ -240,7 +235,7 @@ def factor_via_transform(mu, R, n):
                               (c, c))
         return A, report
 
-    W = toeplitz(_toeplitz_column(mu, h, n))
+    W = _dense_toeplitz(_toeplitz_column(mu, h, n))
     # A = 2 Re int_0^X conj(alpha_i e^{ix t_i}) e^{ix t_j} w(x) dx h/2pi;
     # the integrand is conjugate-even in x, so the half-window suffices.
     A = _lag_assembly(inverse_spectral(mu, R / 2.0, n), mu, h, n)

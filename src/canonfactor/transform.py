@@ -14,20 +14,19 @@ with the unphased amplitude beta_c frozen at the cell's left node a_c.
 ``_amplitude_rows`` yields beta_c off one sweep, one row per cell: for
 real z in real arithmetic, with the sweep's power-of-two scale put back
 by ldexp and no complex exponential per row and node; for complex z as
-a mantissa with that scale apart.  Every consumer takes each row as it
+a mantissa with that scale apart.  Both consumers take each row as it
 comes, and the phase e^{-iz a_c}, and for complex z the scale, go into
-an exponential that it computes anyway.  ``wave_amplitudes`` returns
+an exponential that they compute anyway: ``wave_amplitudes`` returns
 alpha_c = beta_c e^{-iz a_c}, so P_t = alpha_c e^{izt}, for
-``krein_wave`` and the kernel checks; ``f_mu_apply`` integrates
-beta_c e^{iz(t - a_c)} over each segment in closed form; and the
-factor's pairing turns it into a lag shift (``factorize._lag_assembly``).
+``krein_wave`` and the kernel checks, and ``f_mu_apply`` integrates
+beta_c e^{iz(t - a_c)} over each segment in closed form.  (The factor
+pushes quadrature moments through the cells instead; see ``factorize``.)
 P_t jumps at the wave nodes 2 a_c with sqrt(H); ``krein_wave`` is
 right-continuous there.  ``reproducing_kernel`` is the closed form in
 Theta itself, against which the amplitudes are checked.
 """
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import DomainError
 from .hamiltonian import J
@@ -211,6 +210,7 @@ def _plancherel_tail(f, X, w_tail):
     the square gives integrals int_{|x|>X} e^{ix tau}/x^2 dx with the
     closed form 2 [cos(tau X)/X - |tau| (pi/2 - Si(|tau| X))].
     """
+    from scipy.special import sici     # ~0.3 s to import; needed only here
     a = f.grid.nodes[:-1]
     b = f.grid.nodes[1:]
     fv = f.values

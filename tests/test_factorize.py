@@ -233,6 +233,29 @@ def test_lag_assembly_needs_the_half_step_grid():
         factorize._lag_assembly(ham, mu, 1.01 * h, n)
 
 
+def test_lag_assembly_needs_det_one_cells():
+    # the cell propagator is cos(xh/2) I - sin(xh/2) J C only for det C = 1
+    mu = step_weight(2.0, 1.0)
+    n, h = 16, _R / 16
+    ham = inverse_spectral(mu, _R / 2.0, n)
+    scaled = Hamiltonian(ham.grid, 1.5 * ham.cells)
+    with pytest.raises(DomainError, match="det-1"):
+        factorize._lag_assembly(scaled, mu, h, n)
+
+
+@pytest.mark.parametrize("mu", [step_weight(2.0, 1.0),
+                                sinc_bump_weight(0.5, 1.0)],
+                         ids=["step", "sinc-bump"])
+def test_factor_converges_at_second_order(mu):
+    # residual and vs_cholesky fall ~4x per doubling of n (observed
+    # orders 1.97-1.98); a first-order regression reads ~1 here
+    sizes = np.array([256, 512, 1024])
+    figures = np.array([[rep.residual, rep.vs_cholesky] for rep in
+                        (factor_via_transform(mu, _R, n)[1] for n in sizes)])
+    orders = -np.polyfit(np.log2(sizes), np.log2(figures), 1)[0]
+    assert np.all(orders >= 1.8), orders
+
+
 def test_factor_memory_stays_below_one_dense_node_array():
     # one (n, 16n) complex array at n = 512 is 64 MiB; the streamed
     # assembly holds none

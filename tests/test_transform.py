@@ -12,7 +12,7 @@ from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          factor_via_transform, inverse_spectral, krein_wave,
                          random_unimodular, reproducing_kernel,
                          sinc_bump_weight, transfer_matrix, wave_amplitudes)
-from canonfactor import transform
+from canonfactor import solver, transform
 
 
 def test_sqrt_psd_hand_values():
@@ -253,7 +253,6 @@ _ONE_SWEEP = {
     "f_mu_apply": lambda: f_mu_apply(_HAM, _F, _X),
     "krein_wave": lambda: krein_wave(_HAM, 3.0, 1.0 + 0.5j),
     "isometry_residual": lambda: isometry_residual(_HAM, _MU, _F, X=50.0),
-    "factor_via_transform": lambda: factor_via_transform(_MU, 12.8, 32),
 }
 
 
@@ -271,3 +270,19 @@ def test_each_consumer_sweeps_once(name, monkeypatch):
     monkeypatch.setattr(transform, "_sweep", counting)
     _ONE_SWEEP[name]()
     assert len(calls) == 1
+
+
+def test_factor_makes_no_sweep(monkeypatch):
+    # the factor pushes quadrature moments through the cells; a factor
+    # that reads amplitude rows off a sweep again fails here
+    calls = []
+    sweep = solver._sweep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "_sweep", counting)
+    monkeypatch.setattr(solver, "_sweep", counting)
+    factor_via_transform(_MU, 12.8, 32)
+    assert len(calls) == 0
