@@ -18,9 +18,12 @@ The wave grid oversamples the Hamiltonian grid twice (wave times live on
 
 The report's eigenvalue bounds are certified: Lanczos on an FFT matvec
 brackets the extremes of W, and a Levinson positive-definiteness pass on
-W - sigma I (the inertia test of Cybenko & Van Loan) decides each
-bisection step, so min_eig <= lambda_min(W), max_eig >= lambda_max(W),
-each within _EIG_RTOL relative, and cond is an upper bound.
+W - sigma I (the inertia test of Cybenko & Van Loan) certifies each
+shift sigma.  Each certified pass also leaves the predictor that makes
+(W - sigma I)^{-1} a Gohberg-Semencul FFT matvec, and shift-and-invert
+Lanczos on it picks the next shift, so ~2-4 passes per end give
+min_eig <= lambda_min(W), max_eig >= lambda_max(W), each within
+_EIG_RTOL relative, and cond is an upper bound.
 """
 
 import numpy as np
@@ -61,7 +64,7 @@ class InversionReport:
                 f"max_reflection={self.max_reflection:.4g})")
 
 
-def _levinson(col, y=None):
+def _levinson(col, y=None, a=None):
     """Levinson-Durbin recursion on the symmetric Toeplitz column col.
 
     Returns (positive, pe_floor, max_reflection) with pe_floor =
@@ -70,7 +73,9 @@ def _levinson(col, y=None):
     |k_j| >= 1, where positive is False: the matrix is positive definite
     iff it runs to the end.  Given y, it fills y[j] = (sum of the j-th
     backward predictor) / sqrt(P_j), i.e. y = L^{-1} 1 for the Cholesky
-    factor L.
+    factor L.  Given a (length M), the recursion runs in it, and a
+    positive pass leaves there the forward predictor: toeplitz(col) a =
+    P e_0 with a[0] = 1 and P = a @ col.
     """
     M = len(col)
     p0 = float(col[0])
@@ -80,7 +85,8 @@ def _levinson(col, y=None):
     # predictor a reversed, and the dot against col[j:0:-1] is the dot of
     # a[:j] against a forward slice of the reversed column
     rcol = col[::-1].copy()
-    a = np.zeros(M)
+    a = np.empty(M) if a is None else a
+    a[:] = 0.0
     a[0] = 1.0
     p = pmin = p0
     kmax = 0.0
@@ -105,18 +111,48 @@ def _levinson(col, y=None):
     return True, pmin / p0, kmax
 
 
-def _lanczos_extremes(col):
-    """Extreme Ritz values of toeplitz(col) and their residual norms.
+def _fft_len(M):
+    """Power-of-two FFT length >= 2M - 1 (2M - 1 can be prime, ~20x
+    slower), enough for a linear Toeplitz product of order M."""
+    return 1 << (2 * M - 2).bit_length()
 
-    Fully reorthogonalized Lanczos from a fixed pseudo-random start, with
-    the FFT matvec of the power-of-two circulant (col, 0, ..., col[:0:-1])
-    (length 2M - 1 can be prime, ~20x slower).  Returns ((theta_min,
-    res_min), (theta_max, res_max)), Ritz values in [lambda_min, lambda_max].
-    """
-    M = len(col)
-    L = 1 << (2 * M - 2).bit_length()
+
+def _toeplitz_matvec(col):
+    """v -> toeplitz(col) v through the circulant (col, 0, ..., col[:0:-1])."""
+    M, L = len(col), _fft_len(len(col))
     circ = np.fft.rfft(np.concatenate([col, np.zeros(L - 2 * M + 1),
                                        col[:0:-1]]))
+    return lambda v: np.fft.irfft(circ * np.fft.rfft(v, L), L)[:M]
+
+
+def _inverse_matvec(a, p):
+    """v -> toeplitz(col)^{-1} v from the forward predictor a and its
+    error P (toeplitz(col) a = P e_0) by the Gohberg-Semencul formula
+    (L(a) L(a)^T - L(b) L(b)^T) / P, b = Z J a, in O(M log M); L(v) is
+    lower-triangular Toeplitz with first column v, J the reversal and Z
+    the down-shift."""
+    M, L = len(a), _fft_len(len(a))
+    fa = np.fft.rfft(a, L)
+    fb = np.fft.rfft(np.concatenate([[0.0], a[:0:-1]]), L)
+
+    def apply(v):
+        fv = np.fft.rfft(v, L)
+        # L(x)^T v is the correlation of x with v: conj in frequency
+        ua = np.fft.irfft(fa.conj() * fv, L)[:M]
+        ub = np.fft.irfft(fb.conj() * fv, L)[:M]
+        return np.fft.irfft(fa * np.fft.rfft(ua, L) - fb * np.fft.rfft(ub, L),
+                            L)[:M] / p
+    return apply
+
+
+def _lanczos_extremes(matvec, M):
+    """Extreme Ritz pairs of the symmetric operator matvec on R^M.
+
+    Fully reorthogonalized Lanczos from a fixed pseudo-random start.
+    Returns ((theta_min, res_min, x_min), (theta_max, res_max, x_max)):
+    Ritz values in [lambda_min, lambda_max], their residual norms and
+    unit Ritz vectors.
+    """
     m = min(_LANCZOS_STEPS, M)
     Q = np.empty((m, M))
     alpha = np.empty(m)
@@ -125,7 +161,7 @@ def _lanczos_extremes(col):
     q /= np.linalg.norm(q)
     for i in range(m):
         Q[i] = q
-        v = np.fft.irfft(circ * np.fft.rfft(q, L), L)[:M]
+        v = matvec(q)
         alpha[i] = q @ v
         for _ in range(2):          # twice is enough (Kahan-Parlett)
             v -= Q[:i + 1].T @ (Q[:i + 1] @ v)
@@ -137,7 +173,8 @@ def _lanczos_extremes(col):
     # eigh reads the lower triangle of the tridiagonal
     theta, S = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[:m - 1], -1))
     res = beta[m - 1] * np.abs(S[-1])
-    return (theta[0], res[0]), (theta[-1], res[-1])
+    x = S[:, [0, -1]].T @ Q[:m]
+    return (theta[0], res[0], x[0]), (theta[-1], res[-1], x[1])
 
 
 def _certified_min(col, theta, res):
@@ -145,30 +182,50 @@ def _certified_min(col, theta, res):
 
     theta >= lambda_min is a Ritz value and res its residual norm.  A
     shift sigma is certified when the Levinson pass on col - sigma e_0
-    runs through (W - sigma I positive definite, so lambda_min > sigma);
-    the bracket (lower certified shift, theta) is bisected down to
-    _EIG_RTOL relative width and its certified end returned.
+    runs through (W - sigma I positive definite, so lambda_min > sigma).
+    Shift-and-invert shrinks the bracket (lo certified, hi): Lanczos on
+    the inverse of W - lo I, from the predictor of the pass at lo, finds
+    its top Ritz pair (theta', r'); the Rayleigh quotient of the Ritz
+    vector lowers hi, and the next shift lo + 1/(theta' + 2 r') lies
+    just below lambda_min once theta' has converged (one that fails
+    lowers hi; a non-finite or out-of-bracket one bisects).  Stops at
+    _EIG_RTOL relative width and returns the certified end.
     """
-    def definite(sigma):
+    M = len(col)
+    W = _toeplitz_matvec(col)
+
+    def inverse_at(sigma):
+        """The inverse matvec of W - sigma I, None if not definite."""
         shifted = col.copy()
         shifted[0] -= sigma
-        return _levinson(shifted)[0]
+        a = np.empty(M)
+        if not _levinson(shifted, a=a)[0]:
+            return None
+        return _inverse_matvec(a, a @ shifted)
 
     hi = theta
     # the floor keeps the downward search moving from theta = res = 0
     step = max(res, 0.5 * _EIG_RTOL * abs(theta), np.finfo(float).tiny)
     lo = hi - step
-    while not definite(lo):
+    while (inv := inverse_at(lo)) is None:
         hi, step = lo, 4.0 * step
         lo = hi - step
-    for _ in range(64):     # 64 halvings take any bracket to float resolution
+    for _ in range(64):     # bisection alone reaches float resolution
         if hi - lo <= _EIG_RTOL * max(abs(lo), abs(hi)):
             break
-        mid = 0.5 * (lo + hi)
-        if definite(mid):
-            lo = mid
+        # a singular section overflows the inverse; its nan shift bisects
+        with np.errstate(all="ignore"):
+            _, (t, r, x) = _lanczos_extremes(inv, M)
+            hi = min(hi, x @ W(x) / (x @ x))   # a nan quotient keeps hi
+            s = min(lo + 1.0 / (t + 2.0 * r),
+                    hi - 0.5 * _EIG_RTOL * abs(hi))
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        nxt = inverse_at(s)
+        if nxt is None:
+            hi = s
         else:
-            hi = mid
+            lo, inv = s, nxt
     return lo
 
 
@@ -176,9 +233,11 @@ def _certified_extremes(col):
     """(min_eig, max_eig) bracketing the spectrum of toeplitz(col).
 
     min_eig <= lambda_min and max_eig >= lambda_max, each within
-    _EIG_RTOL relative; O(M^2) time per bisection pass, O(M) memory.
+    _EIG_RTOL relative; O(M^2) time per Levinson pass, a few passes per
+    end, O(M) memory.
     """
-    (t_lo, r_lo), (t_hi, r_hi) = _lanczos_extremes(col)
+    (t_lo, r_lo, _), (t_hi, r_hi, _) = _lanczos_extremes(
+        _toeplitz_matvec(col), len(col))
     # lambda_max(W) = -lambda_min(-W)
     return _certified_min(col, t_lo, r_lo), -_certified_min(-col, -t_hi, r_hi)
 

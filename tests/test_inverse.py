@@ -94,9 +94,9 @@ def test_report_reuses_the_wave_pass(bump_mu, monkeypatch):
     calls = []
     levinson = inverse._levinson
 
-    def counted(c, y=None):
+    def counted(c, y=None, **kw):
         calls.append((c.copy(), y is not None))
-        return levinson(c, y)
+        return levinson(c, y, **kw)
 
     monkeypatch.setattr(inverse, "_levinson", counted)
     inverse._certified_extremes(col)
@@ -131,9 +131,55 @@ def test_levinson_matches_cholesky(mu, n, span):
 def test_report_extremes_are_certified(mu, n, span):
     _, _, eigs = dense_section(mu, span, n)
     _, rep = inverse_spectral(mu, span, n, report=True)
-    assert eigs[0] * (1 - 1e-9) <= rep.min_eig <= eigs[0]
-    assert eigs[-1] <= rep.max_eig <= eigs[-1] * (1 + 1e-9)
+    # _EIG_RTOL = 1e-10 relative, plus eigvalsh's rounding on the far side
+    ulp = 4 * np.spacing(eigs[-1])
+    assert eigs[0] * (1 - 1e-10) - ulp <= rep.min_eig <= eigs[0]
+    assert eigs[-1] <= rep.max_eig <= eigs[-1] * (1 + 1e-10) + ulp
     assert rep.cond >= eigs[-1] / eigs[0]
+
+
+def test_certified_extremes_take_few_passes(monkeypatch):
+    # the bottom of this spectrum is a cluster (lambda_1 - lambda_0 ~ 7e-12)
+    # that bisection took 21 Levinson passes to bracket
+    _, _, col = wave_values_at_zero(sinc_bump_weight(0.5, 1.0), 20.0, 2048)
+    calls = []
+    levinson = inverse._levinson
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return levinson(*args, **kw)
+
+    monkeypatch.setattr(inverse, "_levinson", counted)
+    inverse._certified_extremes(col)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 64])
+def test_gohberg_semencul_inverse_matches_solve(M):
+    rng = np.random.default_rng(M)
+    for _ in range(4):
+        # an autocorrelation sequence is a positive semidefinite column
+        g = rng.standard_normal(M)
+        col = np.correlate(g, g, "full")[M - 1:] / M
+        col[0] += 0.5
+        a = np.empty(M)
+        assert inverse._levinson(col, a=a)[0]
+        apply = inverse._inverse_matvec(a, a @ col)
+        v = rng.standard_normal(M)
+        ref = np.linalg.solve(toeplitz(col), v)
+        assert np.max(np.abs(apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mu", [sinc_bump_weight(0.5, 1.0),
+                                sinc_bump_weight(0.3, 0.8),
+                                step_weight(2.0, 1.0)],
+                         ids=["sinc-0.5-1.0", "sinc-0.3-0.8", "step-2-1"])
+def test_certified_extremes_match_dense_spectrum(mu):
+    _, _, col = wave_values_at_zero(mu, 20.0, 1024)
+    eigs = np.linalg.eigvalsh(toeplitz(col))
+    _, rep = inverse_spectral(mu, 20.0, 1024, report=True)
+    assert rep.min_eig <= eigs[0] <= rep.min_eig * (1 + 1e-10)
+    assert rep.max_eig * (1 - 1e-10) <= eigs[-1] <= rep.max_eig
 
 
 @pytest.mark.parametrize("col", [
