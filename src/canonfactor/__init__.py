@@ -53,7 +53,6 @@ _EXPORTS = {
     "accelerant_from_weight": ".accelerant",
     # inverse spectral problem
     "InversionReport": ".inverse",
-    "wave_values_at_zero": ".inverse",
     "inverse_spectral": ".inverse",
     # half-line functions, L1+L2, A2
     "HalfLineFunction": ".halfline",

@@ -351,6 +351,10 @@ def _cmd_invert(args, out):
     out.write(f"cond={_fmt(report.cond)}")
     out.write(f"max_det_dev={_fmt(report.max_det_dev)}")
     out.write(f"ill_conditioned={report.ill_conditioned}")
+    out.write(f"min_eig={_fmt(report.min_eig)}")
+    out.write(f"max_eig={_fmt(report.max_eig)}")
+    out.write(f"pe_floor={_fmt(report.pe_floor)}")
+    out.write(f"max_reflection={_fmt(report.max_reflection)}")
     return 0
 
 

@@ -9,8 +9,9 @@ with k the kernel of w (Fourier transform of w - 1).  W is the Gram
 matrix of the sampled exponentials e_j = sqrt(h/2pi) e^{i x t_j},
 t_j = j h, in L2(w dx) over the Nyquist window |x| <= pi/h, up to
 aliasing.  The upper factor is assembled by pairing the exponentials
-against sampled waves of the Hamiltonian recovered from w, and is
-compared against a direct Cholesky oracle.  The factor forms the dense
+against the waves of the Hamiltonian recovered from w, read straight
+off the wave values of the inverse map's Levinson pass, and is compared
+against a direct Cholesky oracle.  The factor forms the dense
 W from the Toeplitz column of ``accelerant`` for the oracle and the
 residual alone, and reads every 2-norm of its report off a symmetric
 eigensolve of a matrix it already holds.  ``build_toeplitz`` adds the
@@ -36,8 +37,7 @@ import numpy as np
 
 from .accelerant import _toeplitz_column
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .hamiltonian import J
-from .inverse import _certified_extremes, inverse_spectral
+from .inverse import _cell_waves, _certified_extremes, _check_span
 from .quadrature import gauss_legendre
 from .tables import read_table, write_table
 
@@ -71,18 +71,10 @@ class DiscreteWienerHopf:
         return self.max_eig / self.min_eig
 
 
-def _check_size(n, length, name):
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if not (0 < length < np.inf):
-        raise ValidationError(f"{name} must be positive and finite, "
-                              f"got {length}")
-
-
 def build_toeplitz(mu, n, h):
     """Discrete Wiener-Hopf matrix of the weight mu at step h, size n."""
     mu.require_numeric()
-    _check_size(n, h, "h")
+    _check_span(h, n, "h")
     if mu.is_constant:
         c = mu.c1
         W = c * np.eye(n)
@@ -178,28 +170,27 @@ def _moments(mu, h, n):
     return np.concatenate([m[:0:-1].conj(), m])     # c real: mu(-k) = conj
 
 
-def _lag_assembly(ham, mu, h, n):
+def _lag_assembly(p, mu, h, n):
     """A[i, j] = Re conj(q_i) . U_i(2j - i), q_i = (1, -i) sqrt(C_i), by
     the moment recursion of the module docstring written as U_{c+1}(k) =
-    M_c U_c(k+1) + conj(M_c) U_c(k-1), M_c = (I + i J C_c)/2.  U_c is
-    held for |k| <= 2n - c, all the lags later rows read.  DomainError
-    unless a_i = i h/2 (the phase is then a lag shift) and det C_c = 1
-    (the propagator is then cos(xh/2) I - sin(xh/2) J C_c)."""
-    on_grid = np.allclose(ham.grid.nodes[:n], 0.5 * h * np.arange(n),
-                          rtol=1e-13, atol=1e-13 * h)
-    if not (ham.unimodular and on_grid):
-        raise DomainError("lag assembly needs det-1 cells at the nodes i h/2")
+    M_c U_c(k+1) + conj(M_c) U_c(k-1), M_c = (I + i J C_c)/2.  The cells
+    are the det-1 C_c = diag(p_c^2, 1/p_c^2) of the wave values p at the
+    nodes c h/2, so sqrt(C_c) = diag(p_c, 1/p_c).  U_c is held for |k| <=
+    2n - c, all the lags later rows read."""
+    q = 1.0 / p
+    # I + i J diag(a, b) = [[1, -i b], [i a, 1]]
+    M = np.full((n, 2, 2), 0.5 + 0j)
+    M[:, 0, 1] = -0.5j * (q * q)
+    M[:, 1, 0] = 0.5j * (p * p)
     U = np.zeros((2, 4 * n + 1), dtype=complex)
     U[0] = _moments(mu, h, n)
-    M = 0.5 * (np.eye(2) + 1j * (J @ ham.cells[:n]))
-    S = ham.sqrt_cells()
     A = np.empty((n, n))
     for i in range(n):
         if i:
             U = M[i - 1] @ U[:, 2:] + M[i - 1].conj() @ U[:, :-2]
         # U[:, m] holds U_i(m - 2n + i): lag 2j - i sits at 2(n - i + j)
         Ui = U[:, 2 * (n - i):4 * n - 2 * i:2]
-        A[i] = S[i, 0] @ Ui.real - S[i, 1] @ Ui.imag
+        A[i] = p[i] * Ui[0].real - q[i] * Ui[1].imag
     if not np.all(np.isfinite(A)):
         raise DomainError("wave amplitudes overflow on the Nyquist window")
     return A
@@ -217,8 +208,9 @@ def _sym_norm2(S):
 def factor_via_transform(mu, R, n):
     """Upper triangular factor A with A^T A ~= the discrete matrix.
 
-    Recovers the Hamiltonian of mu on [0, R/2] (n cells, so wave cells
-    line up with the discrete times t_j = j R/n), samples the waves
+    Takes the wave values of the Hamiltonian of mu on [0, R/2] from the
+    inverse map's wave pass (n cells, so wave cells line up with the
+    discrete times t_j = j R/n), samples the waves
     phi_j = sqrt(h/2pi) P_{t_j} on the Nyquist window, and fills
     A[i, j] = <e_j, phi_i>_{L2(w dx)}.  Rows with negative diagonal are
     sign-flipped (A^T A is unchanged); entries below the diagonal are
@@ -226,7 +218,7 @@ def factor_via_transform(mu, R, n):
     moment recursion ``_lag_assembly``: O(n^2) time and memory, no sweep.
     """
     mu.require_positive()
-    _check_size(n, R, "R")
+    _check_span(R, n, "R")
     h = float(R) / n
     if mu.is_constant:
         c = mu.c1
@@ -238,7 +230,7 @@ def factor_via_transform(mu, R, n):
     W = _dense_toeplitz(_toeplitz_column(mu, h, n))
     # A = 2 Re int_0^X conj(alpha_i e^{ix t_i}) e^{ix t_j} w(x) dx h/2pi;
     # the integrand is conjugate-even in x, so the half-window suffices.
-    A = _lag_assembly(inverse_spectral(mu, R / 2.0, n), mu, h, n)
+    A = _lag_assembly(_cell_waves(mu, R / 2.0, n)[0], mu, h, n)
 
     diag = np.diag(A).copy()
     signs = np.where(diag < 0.0, -1.0, 1.0)

@@ -64,9 +64,8 @@ class HalfLineFunction:
         return HalfLineFunction(self.grid.dilate(y), self.values.copy(),
                                 tail=self.tail)
 
-    def with_values(self, values, tail="keep"):
-        return HalfLineFunction(self.grid, values,
-                                tail=self.tail if tail == "keep" else tail)
+    def with_values(self, values):
+        return HalfLineFunction(self.grid, values, tail=self.tail)
 
     def integrate(self, a, b, transform=None):
         """Exact integral of (transform of) f over [a, b], tail included."""

@@ -29,7 +29,7 @@ _EIG_RTOL relative, and cond is an upper bound.
 import numpy as np
 
 from .accelerant import _toeplitz_column
-from .errors import DomainError, SpectralPositivityError
+from .errors import DomainError, SpectralPositivityError, ValidationError
 from .hamiltonian import Grid, Hamiltonian
 
 _EIG_RTOL = 1e-10       # relative width of the certified eigenvalue brackets
@@ -189,7 +189,8 @@ def _certified_min(col, theta, res):
     vector lowers hi, and the next shift lo + 1/(theta' + 2 r') lies
     just below lambda_min once theta' has converged (one that fails
     lowers hi; a non-finite or out-of-bracket one bisects).  Stops at
-    _EIG_RTOL relative width and returns the certified end.
+    _EIG_RTOL relative width, or, once lo <= 0, at M eps |col[0]| width
+    or at hi <= 0 <= col[0], and returns the certified end.
     """
     M = len(col)
     W = _toeplitz_matvec(col)
@@ -210,8 +211,14 @@ def _certified_min(col, theta, res):
     while (inv := inverse_at(lo)) is None:
         hi, step = lo, 4.0 * step
         lo = hi - step
+    floor = M * np.finfo(float).eps * abs(col[0])
     for _ in range(64):     # bisection alone reaches float resolution
         if hi - lo <= _EIG_RTOL * max(abs(lo), abs(hi)):
+            break
+        # no relative width is met about lambda_min = 0; hi <= 0 settles
+        # positive definiteness, the question a nonnegative diagonal
+        # leaves open (-W at the max end has a negative one)
+        if lo <= 0.0 and (hi - lo <= floor or hi <= 0.0 <= col[0]):
             break
         # a singular section overflows the inverse; its nan shift bisects
         with np.errstate(all="ignore"):
@@ -242,55 +249,49 @@ def _certified_extremes(col):
     return _certified_min(col, t_lo, r_lo), -_certified_min(-col, -t_hi, r_hi)
 
 
-def _cells_from_wave(p):
-    """Per-cell H = diag(p^2, 1/p^2) from the real wave values p at x = 0.
+def _check_span(length, n, name):
+    """ValidationError naming the bad argument unless 0 < length < inf
+    and n is a whole number >= 1 (NaN fails every comparison, so the
+    check fails closed)."""
+    if not (0 < length < np.inf):
+        raise ValidationError(f"{name} must be positive and finite, "
+                              f"got {length}")
+    if not (1 <= n < np.inf and n == int(n)):
+        raise ValidationError(f"the size must be a whole number >= 1, "
+                              f"got {n}")
 
-    p is the (1, 1) entry of the diagonal sqrt(H) on each cell; its
-    (2, 2) entry 1/p completes det = 1, which is the det-normalization
-    gauge (no further rescaling needed).
+
+def _cell_waves(mu, R, N):
+    """Wave values p at x = 0 on the N cells of [0, R], with the Toeplitz
+    column of their Levinson pass and its health figures (pe_floor,
+    max_reflection).
+
+    The wave grid t_j = j eta, eta = R/N, holds 2N samples y = L^{-1} 1.
+    H cell i covers [i, i+1] R/N, i.e. wave times [2i, 2i+2] eta.  The
+    discrete orthogonal system lags the continuous wave by half a step
+    (y_j sits at t_j + eta/2), so the mean of the two samples inside a
+    cell is the unbiased midpoint value; it restores second-order
+    round-trip accuracy where either sample alone is first-order.  p is
+    the (1, 1) entry of the diagonal sqrt(H) on each cell, and 1/p its
+    (2, 2) entry: det H = 1 is the normalization gauge.
     """
-    if np.any(p <= 0):
-        raise SpectralPositivityError(
-            "recovered wave has a nonpositive diagonal entry; the weight "
-            "data is inconsistent with a positive definite kernel")
-    q = 1.0 / p
-    H = np.zeros((len(p), 2, 2))
-    H[:, 0, 0] = p * p
-    H[:, 1, 1] = q * q
-    return H
-
-
-def _check_span(R, N):
-    if not (0 < R < np.inf):
-        raise DomainError(f"R must be positive and finite, got {R}")
-    if N < 1:
-        raise DomainError(f"need N >= 1 cell, got {N}")
-
-
-def _wave_pass(mu, R, N):
-    """``wave_values_at_zero`` plus the health figures (pe_floor,
-    max_reflection) of its Levinson pass."""
-    mu.require_positive()
-    _check_span(R, N)
-    eta = float(R) / int(N)
-    M = 2 * int(N)
-    col = _toeplitz_column(mu, eta, M)
-    y = np.empty(M)
+    if mu.tail != 1.0:
+        raise DomainError(
+            "weight tail differs from 1; apply truncate_weight first")
+    N = int(N)
+    col = _toeplitz_column(mu, float(R) / N, 2 * N)
+    y = np.empty(2 * N)
     positive, pe_floor, kmax = _levinson(col, y)
     if not positive:
         raise SpectralPositivityError(
             "discretized Wiener-Hopf matrix is not positive definite; "
             "the weight must stay bounded away from zero")
-    return y, eta, col, pe_floor, kmax
-
-
-def wave_values_at_zero(mu, R, N):
-    """y_j ~ P_{t_j}(0) on the wave grid t_j = j*eta, eta = R/N, plus eta
-    and the first column of the Toeplitz matrix (length 2N).
-
-    Exposed separately so tests can probe the discretization directly.
-    """
-    return _wave_pass(mu, R, N)[:3]
+    p = 0.5 * (y[0::2] + y[1::2])
+    if np.any(p <= 0):
+        raise SpectralPositivityError(
+            "recovered wave has a nonpositive diagonal entry; the weight "
+            "data is inconsistent with a positive definite kernel")
+    return p, col, pe_floor, kmax
 
 
 def inverse_spectral(mu, R, N, report=False):
@@ -302,31 +303,25 @@ def inverse_spectral(mu, R, N, report=False):
     truncate_weight first when it is not).
     """
     mu.require_positive()
-    _check_span(R, N)
+    _check_span(R, N, "R")
     N = int(N)
+    eta = float(R) / N
     if mu.is_constant:
         c = mu.c1
         ham = Hamiltonian.constant([[1.0 / c, 0.0], [0.0, c]],
                                    span=float(R), n_cells=N)
         if report:
             # the operator is c times the identity; its spectrum is {c}
-            return ham, InversionReport(N, float(R) / N, c, c, 0.0,
+            return ham, InversionReport(N, eta, c, c, 0.0,
                                         pe_floor=1.0, max_reflection=0.0)
         return ham
-    if mu.tail != 1.0:
-        raise DomainError(
-            "weight tail differs from 1; apply truncate_weight first")
 
-    y, eta, col, pe_floor, kmax = _wave_pass(mu, R, N)
-    # H cell i covers [i, i+1]*R/N, i.e. wave times [2i, 2i+2]*eta.  The
-    # discrete orthogonal system lags the continuous wave by half a step
-    # (y_j sits at t_j + eta/2), so the mean of the two samples inside a
-    # cell is the unbiased midpoint value; it restores second-order
-    # round-trip accuracy where either sample alone is first-order.
-    p = 0.5 * (y[0::2] + y[1::2])
-    cells = _cells_from_wave(p)
-    grid = Grid(np.linspace(0.0, float(R), N + 1))
-    ham = Hamiltonian(grid, cells)
+    p, col, pe_floor, kmax = _cell_waves(mu, R, N)
+    q = 1.0 / p
+    cells = np.zeros((N, 2, 2))
+    cells[:, 0, 0] = p * p
+    cells[:, 1, 1] = q * q
+    ham = Hamiltonian(Grid(np.linspace(0.0, float(R), N + 1)), cells)
     if report:
         lo, hi = _certified_extremes(col)
         rep = InversionReport(N, eta, float(lo), float(hi),

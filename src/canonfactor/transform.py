@@ -160,17 +160,17 @@ def reproducing_kernel(ham, r, z, lam):
     return complex((4.0 * d2 - d1) / (3.0 * np.pi))
 
 
-def f_mu_apply(ham, f, z_grid, t_max=None):
+def f_mu_apply(ham, f, z_grid):
     """(1/sqrt(2pi)) int f(t) P_t(z) dt for piecewise-constant f.
 
-    f is a HalfLineFunction supported on [0, r] in wave time (tail must
-    be absent or zero); the integral is exact per refined cell: on a
+    f is a HalfLineFunction supported on its grid [0, r] in wave time
+    (tail must be absent or zero); the integral is exact per refined cell: on a
     segment [u, v] of wave cell c it is beta_c e^{iz(mid - a_c)} (v - u)
     sinc(z (v - u)/2), mid = (u + v)/2, with a real sinc for real z.
     """
     if f.tail not in (None, 0.0):
         raise DomainError("f must be supported inside its grid")
-    r = f.grid.span if t_max is None else float(t_max)
+    r = f.grid.span
     z = np.asarray(z_grid)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)

@@ -11,8 +11,9 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from canonfactor import (HalfLineFunction, build_toeplitz, cli,
-                         read_halfline, read_hamiltonian, read_matrix,
-                         step_weight, write_halfline, write_hamiltonian)
+                         inverse_spectral, read_halfline, read_hamiltonian,
+                         read_matrix, sinc_bump_weight, step_weight,
+                         write_halfline, write_hamiltonian)
 from canonfactor.hamiltonian import Hamiltonian
 
 
@@ -55,6 +56,27 @@ def test_invert_then_forward_round_trip(tmp_path):
     ws = np.array([float(r[1]) for r in rows])
     truth = 1.0 + 0.5 * np.sinc(xs / np.pi) ** 2
     assert np.max(np.abs(ws - truth) / truth) < 1e-2
+
+
+def test_invert_prints_the_report(tmp_path):
+    # the health figures follow the earlier keys, and repr floats
+    # round-trip to the report's values exactly
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["invert", "--weight",
+                         "sinc-bump:amplitude=0.5,scale=1", "--span", "10",
+                         "--cells", "64",
+                         "--out-hamiltonian", str(tmp_path / "h.txt")])
+    assert code == 0
+    keys, values = zip(*(line.split("=") for line in
+                         out.getvalue().splitlines()))
+    assert keys == ("cells", "eta", "cond", "max_det_dev", "ill_conditioned",
+                    "min_eig", "max_eig", "pe_floor", "max_reflection")
+    _, rep = inverse_spectral(sinc_bump_weight(0.5, 1.0), 10.0, 64,
+                              report=True)
+    printed = dict(zip(keys, values))
+    for key in keys[5:]:
+        assert float(printed[key]) == getattr(rep, key), key
 
 
 def test_weyl_values(tmp_path):

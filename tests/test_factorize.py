@@ -13,9 +13,8 @@ from canonfactor import (DomainError, Grid, Hamiltonian, SpectralMeasure,
                          cosine_bump_weight, factor_via_transform,
                          inverse_spectral, read_matrix,
                          sampled_weight, sinc_bump_weight, step_weight,
-                         wave_amplitudes, wave_values_at_zero,
-                         write_matrix, write_weight)
-from canonfactor import factorize
+                         wave_amplitudes, write_matrix, write_weight)
+from canonfactor import factorize, inverse
 from canonfactor.quadrature import gauss_legendre
 
 
@@ -140,9 +139,6 @@ _LENGTH_CALLS = {
     "inverse_spectral-bump": (
         lambda v: inverse_spectral(sinc_bump_weight(0.5, 1.0), v, 8), "R",
         DomainError),
-    "wave_values_at_zero": (
-        lambda v: wave_values_at_zero(sinc_bump_weight(0.5, 1.0), v, 8),
-        "R", DomainError),
 }
 
 
@@ -157,10 +153,27 @@ def test_bad_length_rejected(call, value):
         fn(value)
 
 
-def _dense_assembly(ham, mu, h, n):
-    """Reference pairing: order-16 Gauss-Legendre on the max(n, 4)
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0, 8.5],
+                         ids=["nan", "inf", "zero", "fraction"])
+def test_bad_size_rejected(value):
+    # NaN and inf pass an n < 1 check and int() of them is untyped; 8.5
+    # cells were truncated to 8, or built a 9 x 9 matrix labelled n = 8.5
+    bump, step = sinc_bump_weight(0.5, 1.0), step_weight(2.0, 1.0)
+    for fn in (lambda: inverse_spectral(bump, 4.0, value),
+               lambda: factor_via_transform(step, 4.0, value),
+               lambda: build_toeplitz(step, value, 0.5)):
+        with pytest.raises(ValidationError, match="size must be a whole number"):
+            fn()
+
+
+def _dense_assembly(p, mu, h, n):
+    """Reference pairing: the waves of the Hamiltonian diag(p^2, 1/p^2)
+    on the cells [c, c + 1] h/2, order-16 Gauss-Legendre on the max(n, 4)
     uniform panels of [0, pi/h], also cut at the breakpoints of w, and
     one dense (n, Q) x (Q, n) product."""
+    cells = np.zeros((n, 2, 2))
+    cells[:, 0, 0], cells[:, 1, 1] = p * p, 1.0 / (p * p)
+    ham = Hamiltonian(Grid(0.5 * h * np.arange(n + 1)), cells)
     X = np.pi / h
     edges = np.unique(np.concatenate([
         np.linspace(0.0, X, max(n, 4) + 1),
@@ -206,10 +219,10 @@ def test_lag_assembly_matches_dense_pairing(name, n, monkeypatch):
         inside = [b for b in mu.breakpoints if 0.0 < b < np.pi / h]
         on_edge = np.isin(inside, np.linspace(0.0, np.pi / h, n + 1))
         assert on_edge.sum() == 1 and (~on_edge).sum() >= 19
-    ham = inverse_spectral(mu, _R / 2.0, n)
-    A = factorize._lag_assembly(ham, mu, h, n)
+    p = inverse._cell_waves(mu, _R / 2.0, n)[0]
+    A = factorize._lag_assembly(p, mu, h, n)
     assert A.shape == (n, n)
-    assert np.max(np.abs(A - _dense_assembly(ham, mu, h, n))) <= 1e-12
+    assert np.max(np.abs(A - _dense_assembly(p, mu, h, n))) <= 1e-12
     A, rep = factor_via_transform(mu, _R, n)
     monkeypatch.setattr(factorize, "_lag_assembly", _dense_assembly)
     A_ref, ref = factor_via_transform(mu, _R, n)
@@ -218,30 +231,6 @@ def test_lag_assembly_matches_dense_pairing(name, n, monkeypatch):
                   "min_abs_diag"):
         a, b = getattr(rep, field), getattr(ref, field)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), field
-
-
-def test_lag_assembly_needs_the_half_step_grid():
-    # the row phase e^{-ix a_i} is a lag shift only for a_i = i h/2
-    mu = step_weight(2.0, 1.0)
-    n, h = 16, _R / 16
-    ham = inverse_spectral(mu, _R / 2.0, n)
-    nodes = ham.grid.nodes.copy()
-    nodes[1:-1] += 0.1 * h * np.sin(np.arange(1, n))
-    bent = Hamiltonian(Grid(nodes), ham.cells)
-    with pytest.raises(DomainError, match="i h/2"):
-        factorize._lag_assembly(bent, mu, h, n)
-    with pytest.raises(DomainError, match="i h/2"):
-        factorize._lag_assembly(ham, mu, 1.01 * h, n)
-
-
-def test_lag_assembly_needs_det_one_cells():
-    # the cell propagator is cos(xh/2) I - sin(xh/2) J C only for det C = 1
-    mu = step_weight(2.0, 1.0)
-    n, h = 16, _R / 16
-    ham = inverse_spectral(mu, _R / 2.0, n)
-    scaled = Hamiltonian(ham.grid, 1.5 * ham.cells)
-    with pytest.raises(DomainError, match="det-1"):
-        factorize._lag_assembly(scaled, mu, h, n)
 
 
 @pytest.mark.parametrize("mu", [step_weight(2.0, 1.0),

@@ -8,11 +8,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 
-from canonfactor import (DomainError, SpectralPositivityError,
-                         accelerant_from_weight, constant_weight,
-                         inverse_spectral, sampled_weight, sinc_bump_weight,
-                         spectral_density, step_weight, wave_values_at_zero,
-                         weyl_function)
+from canonfactor import (DomainError, HalfLineFunction,
+                         SpectralPositivityError, accelerant_from_weight,
+                         build_toeplitz, constant_weight, inverse_spectral,
+                         isometry_residual, sampled_weight, sinc_bump_weight,
+                         spectral_density, step_weight, weyl_function)
 from canonfactor import inverse
 
 # sinc bumps and steps; w < 1 somewhere for a negative amplitude or an
@@ -32,7 +32,7 @@ def dense_section(mu, span, n):
     eigs = np.linalg.eigvalsh(W)
     if eigs[0] < -1e-8:
         with pytest.raises(SpectralPositivityError):
-            wave_values_at_zero(mu, span, n)
+            inverse._cell_waves(mu, span, n)
     assume(eigs[0] > 1e-8)
     return col, W, eigs
 
@@ -89,7 +89,7 @@ def test_inversion_report(bump_mu):
 def test_report_reuses_the_wave_pass(bump_mu, monkeypatch):
     # pe_floor and max_reflection come off the one Levinson pass that
     # computes the wave; every other pass certifies a shifted column
-    _, _, col = wave_values_at_zero(bump_mu, 10.0, 64)
+    _, col, _, _ = inverse._cell_waves(bump_mu, 10.0, 64)
     _, plain_floor, plain_kmax = inverse._levinson(col)
     calls = []
     levinson = inverse._levinson
@@ -120,11 +120,13 @@ def test_constant_weight_report_health():
 @given(mu=weights, n=st.integers(2, 256), span=st.floats(2.0, 20.0))
 def test_levinson_matches_cholesky(mu, n, span):
     ref_col, W, _ = dense_section(mu, span, n)
-    y, eta, col = wave_values_at_zero(mu, span, n)
-    assert eta == span / n and np.array_equal(col, ref_col)
+    p, col, _, _ = inverse._cell_waves(mu, span, n)
+    assert np.array_equal(col, ref_col)
     ref = solve_triangular(cholesky(W, lower=True), np.ones(2 * n),
                            lower=True)
-    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # each cell's wave value is the mean of its two samples of L^{-1} 1
+    ref = 0.5 * (ref[0::2] + ref[1::2])
+    assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @given(mu=weights, n=st.integers(2, 256), span=st.floats(2.0, 20.0))
@@ -138,10 +140,8 @@ def test_report_extremes_are_certified(mu, n, span):
     assert rep.cond >= eigs[-1] / eigs[0]
 
 
-def test_certified_extremes_take_few_passes(monkeypatch):
-    # the bottom of this spectrum is a cluster (lambda_1 - lambda_0 ~ 7e-12)
-    # that bisection took 21 Levinson passes to bracket
-    _, _, col = wave_values_at_zero(sinc_bump_weight(0.5, 1.0), 20.0, 2048)
+def _counted_levinson(monkeypatch):
+    """Count the Levinson passes from here on; returns the growing list."""
     calls = []
     levinson = inverse._levinson
 
@@ -150,8 +150,59 @@ def test_certified_extremes_take_few_passes(monkeypatch):
         return levinson(*args, **kw)
 
     monkeypatch.setattr(inverse, "_levinson", counted)
+    return calls
+
+
+def test_certified_extremes_take_few_passes(monkeypatch):
+    # the bottom of this spectrum is a cluster (lambda_1 - lambda_0 ~ 7e-12)
+    # that bisection took 21 Levinson passes to bracket
+    _, col, _, _ = inverse._cell_waves(sinc_bump_weight(0.5, 1.0), 20.0,
+                                       2048)
+    calls = _counted_levinson(monkeypatch)
     inverse._certified_extremes(col)
     assert len(calls) <= 6
+
+
+def test_singular_sections_stop_early(monkeypatch):
+    # lambda_min = 0 admits no relative bracket: these took 130, 67 and
+    # 85 passes (2.5 s) when only the relative stop ended the search;
+    # now 2, 3 and 21
+    calls = _counted_levinson(monkeypatch)
+    with pytest.raises(SpectralPositivityError):
+        build_toeplitz(step_weight(0.0, 1.0), 1, np.pi)
+    assert len(calls) <= 2
+    calls.clear()
+    lo, hi = inverse._certified_extremes(np.ones(3))   # spectrum {0, 0, 3}
+    assert lo <= 0.0 and 3.0 <= hi <= 3.0 * (1 + 1e-10)
+    assert len(calls) <= 3
+    calls.clear()
+    with pytest.raises(SpectralPositivityError):
+        build_toeplitz(step_weight(0.0, 0.5), 2048, 0.05)
+    assert len(calls) <= 24
+
+
+def test_inverse_map_converges_at_second_order():
+    # the density round trip of criterion 4 and the worst isometry
+    # residual of the first three of criterion 6's functions fall ~4x
+    # per doubling of N
+    # (orders 2.01 and 2.26 measured); the step-to-step ratios of the
+    # isometry are uneven (8.4, 2.0, 8.6), so the order is fitted over
+    # all four sizes.  A first-order inverse map reads ~1 here.
+    mu = sinc_bump_weight(0.5, 1.0)
+    xs = np.linspace(-5.0, 5.0, 41)
+    truth = mu(xs)
+    rng = np.random.default_rng(6)
+    fs = [HalfLineFunction.from_uniform(rng.uniform(-1.0, 1.0, 8), span=2.0)
+          for _ in range(3)]
+    sizes = np.array([256, 512, 1024, 2048])
+    figures = []
+    for n in sizes:
+        ham = inverse_spectral(mu, 20.0, n)
+        density = spectral_density(ham, xs)
+        figures.append([np.max(np.abs(density - truth) / truth),
+                        max(isometry_residual(ham, mu, f) for f in fs)])
+    orders = -np.polyfit(np.log2(sizes), np.log2(figures), 1)[0]
+    assert np.all(orders >= 1.8), orders
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 64])
@@ -172,10 +223,15 @@ def test_gohberg_semencul_inverse_matches_solve(M):
 
 @pytest.mark.parametrize("mu", [sinc_bump_weight(0.5, 1.0),
                                 sinc_bump_weight(0.3, 0.8),
+                                sinc_bump_weight(1.5, 0.5),
                                 step_weight(2.0, 1.0)],
-                         ids=["sinc-0.5-1.0", "sinc-0.3-0.8", "step-2-1"])
+                         ids=["sinc-0.5-1.0", "sinc-0.3-0.8", "sinc-1.5-0.5",
+                              "step-2-1"])
 def test_certified_extremes_match_dense_spectrum(mu):
-    _, _, col = wave_values_at_zero(mu, 20.0, 1024)
+    # at sinc-1.5-0.5, 60 Lanczos steps leave the top Ritz value
+    # unconverged, so the max end, the minimum of -W whose hi is always
+    # <= 0, needs its relative stop
+    _, col, _, _ = inverse._cell_waves(mu, 20.0, 1024)
     eigs = np.linalg.eigvalsh(toeplitz(col))
     _, rep = inverse_spectral(mu, 20.0, 1024, report=True)
     assert rep.min_eig <= eigs[0] <= rep.min_eig * (1 + 1e-10)
@@ -192,7 +248,7 @@ def test_indefinite_column_raises(monkeypatch, col):
     monkeypatch.setattr(inverse, "_toeplitz_column",
                         lambda mu, h, n: col.copy())
     with pytest.raises(SpectralPositivityError):
-        wave_values_at_zero(sinc_bump_weight(0.5, 1.0), 4.0, len(col) // 2)
+        inverse._cell_waves(sinc_bump_weight(0.5, 1.0), 4.0, len(col) // 2)
 
 
 def test_inverse_memory_is_linear_in_n(bump_mu):

@@ -10,9 +10,9 @@ from canonfactor import (DomainError, SpectralMeasure, ValidationError,
                          constant_weight, cosine_bump_weight,
                          factor_via_transform, inverse_spectral, read_weight,
                          sampled_weight, sinc_bump_weight, step_weight,
-                         szego_K, truncate_weight, wave_values_at_zero,
-                         weight_by_name, write_weight)
-from canonfactor import accelerant
+                         szego_K, truncate_weight, weight_by_name,
+                         write_weight)
+from canonfactor import accelerant, inverse
 
 
 def test_weight_family_bounds():
@@ -159,15 +159,15 @@ def test_numeric_kernel_memory_is_blocked(monkeypatch):
     # the kernel of a truncated weight has no closed form; the whole
     # (2N, Q) array cos(t x) took 97 MB traced at N = 1024
     mu = truncate_weight(sinc_bump_weight(0.5, 1.0), 30.0)
-    wave_values_at_zero(mu, 20.0, 8)
+    inverse._cell_waves(mu, 20.0, 8)
     tracemalloc.start()
     try:
-        _, _, col = wave_values_at_zero(mu, 20.0, 1024)
+        col = inverse._cell_waves(mu, 20.0, 1024)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6
     # one block of every time is the one-shot kernel
     monkeypatch.setattr(accelerant, "_BLOCK", 1 << 62)
-    _, _, ref = wave_values_at_zero(mu, 20.0, 1024)
+    ref = inverse._cell_waves(mu, 20.0, 1024)[1]
     assert np.max(np.abs(col - ref)) <= 1e-14 * np.max(np.abs(ref))
