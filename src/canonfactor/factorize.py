@@ -74,7 +74,7 @@ class DiscreteWienerHopf:
 def build_toeplitz(mu, n, h):
     """Discrete Wiener-Hopf matrix of the weight mu at step h, size n."""
     mu.require_numeric()
-    _check_span(h, n, "h")
+    n = _check_span(h, n, "h")
     if mu.is_constant:
         c = mu.c1
         W = c * np.eye(n)
@@ -218,7 +218,7 @@ def factor_via_transform(mu, R, n):
     moment recursion ``_lag_assembly``: O(n^2) time and memory, no sweep.
     """
     mu.require_positive()
-    _check_span(R, n, "R")
+    n = _check_span(R, n, "R")
     h = float(R) / n
     if mu.is_constant:
         c = mu.c1

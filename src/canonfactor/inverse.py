@@ -250,15 +250,16 @@ def _certified_extremes(col):
 
 
 def _check_span(length, n, name):
-    """ValidationError naming the bad argument unless 0 < length < inf
-    and n is a whole number >= 1 (NaN fails every comparison, so the
-    check fails closed)."""
+    """The size n as an int; ValidationError naming the bad argument
+    unless 0 < length < inf and n is a whole number >= 1 (NaN fails
+    every comparison, so the check fails closed)."""
     if not (0 < length < np.inf):
         raise ValidationError(f"{name} must be positive and finite, "
                               f"got {length}")
     if not (1 <= n < np.inf and n == int(n)):
         raise ValidationError(f"the size must be a whole number >= 1, "
                               f"got {n}")
+    return int(n)
 
 
 def _cell_waves(mu, R, N):
@@ -278,7 +279,6 @@ def _cell_waves(mu, R, N):
     if mu.tail != 1.0:
         raise DomainError(
             "weight tail differs from 1; apply truncate_weight first")
-    N = int(N)
     col = _toeplitz_column(mu, float(R) / N, 2 * N)
     y = np.empty(2 * N)
     positive, pe_floor, kmax = _levinson(col, y)
@@ -303,8 +303,7 @@ def inverse_spectral(mu, R, N, report=False):
     truncate_weight first when it is not).
     """
     mu.require_positive()
-    _check_span(R, N, "R")
-    N = int(N)
+    N = _check_span(R, N, "R")
     eta = float(R) / N
     if mu.is_constant:
         c = mu.c1

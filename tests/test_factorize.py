@@ -166,6 +166,17 @@ def test_bad_size_rejected(value):
             fn()
 
 
+def test_whole_float_size_accepted():
+    # a whole-number float size is the int it equals, in every entry point
+    bump, step = sinc_bump_weight(0.5, 1.0), step_weight(2.0, 1.0)
+    for fn in (lambda n: inverse_spectral(bump, 4.0, n).cells,
+               lambda n: factor_via_transform(step, 4.0, n)[0],
+               lambda n: build_toeplitz(step, n, 0.5).matrix,
+               lambda n: build_toeplitz(constant_weight(2.0), n, 0.5).matrix):
+        assert np.array_equal(fn(8.0), fn(8))
+    assert type(build_toeplitz(step, 8.0, 0.5).n) is int
+
+
 def _dense_assembly(p, mu, h, n):
     """Reference pairing: the waves of the Hamiltonian diag(p^2, 1/p^2)
     on the cells [c, c + 1] h/2, order-16 Gauss-Legendre on the max(n, 4)

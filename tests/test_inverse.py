@@ -124,6 +124,9 @@ def test_levinson_matches_cholesky(mu, n, span):
     assert np.array_equal(col, ref_col)
     ref = solve_triangular(cholesky(W, lower=True), np.ones(2 * n),
                            lower=True)
+    y = np.empty(2 * n)
+    inverse._levinson(col, y)
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
     # each cell's wave value is the mean of its two samples of L^{-1} 1
     ref = 0.5 * (ref[0::2] + ref[1::2])
     assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
