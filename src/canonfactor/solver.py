@@ -13,8 +13,15 @@ tr G = 0.
 
 Everything built from M (transfer matrices, Weyl disks, wave
 amplitudes, the energy identity) comes from one sweep, ``_sweep``,
-which multiplies the propagators of ``_propagators``, built a block of
-cells at a time, left to right.  A cell whose growth
+which multiplies the propagators cell by cell, left to right.  They are
+filled a block of cells at a time, in place, into one buffer allocated
+per sweep.  The trig of the closed form (cos and sinch) depends on a
+cell only through its step and d, and the cells of a recovered
+Hamiltonian share a few such pairs (3 among 2048 cells), so when the
+distinct pairs fit in one block the trig is evaluated once per pair
+and gathered into every block; otherwise each block evaluates the trig
+of its own cells straight into the buffer.  Either way memory stays
+O(``_BLOCK``), however many distinct pairs there are.  A cell whose growth
 |Im z| * width * d exceeds ``_MAX_GROWTH`` is cut into equal substeps.
 After every step the state of each z is divided by a power of two
 (frexp/ldexp), which is exact: wherever the unscaled product is finite
@@ -54,23 +61,47 @@ def sinch(x):
     return out
 
 
+def _trig(steps, d, z, c, s):
+    """Write c = cos(theta) and s = z step sinch(theta), theta = z step d,
+    one row shaped like z per pair (step, d = sqrt(det C))."""
+    zw = steps[:, None] * z
+    theta = zw * d[:, None]
+    np.cos(theta, out=c)
+    np.multiply(zw, sinch(theta), out=s)
+
+
+def _fill(P, g):
+    """Turn P[0, 0] = c, P[0, 1] = s into the propagators c I + s g in place.
+
+    P : (2, 2, B, nz) with the trig of B cells in its first row;
+    g = -J C per cell, shape (2, 2, B, 1).
+    """
+    np.multiply(P[0, 1], g[1, 1], out=P[1, 1])
+    P[1, 1] += P[0, 0]
+    np.multiply(P[0, 1], g[0, 0], out=P[1, 0])
+    P[0, 0] += P[1, 0]
+    np.multiply(P[0, 1], g[1, 0], out=P[1, 0])
+    P[0, 1] *= g[0, 1]
+    return P
+
+
+def _generators(cells):
+    """-J C per cell, shaped (2, 2, B, 1) for ``_fill``."""
+    return -np.moveaxis(J @ cells, 0, -1)[..., None]
+
+
 def _propagators(cells, widths, z):
     """exp(-z * width * J * cell) for B cells and nz values of z.
 
     cells : (B, 2, 2), widths : (B,), z : (nz,) real or complex.
     Returns P with P[i, j] of shape (B, nz), real when z is.
     """
+    P = np.empty((2, 2, len(widths), z.size),
+                 dtype=np.result_type(z, np.float64))
     d = np.sqrt(np.maximum(
         cells[:, 0, 0] * cells[:, 1, 1] - cells[:, 0, 1] * cells[:, 1, 0], 0.0))
-    zw = widths[:, None] * z
-    theta = zw * d[:, None]
-    s = zw * sinch(theta)
-    G = np.moveaxis(J @ cells, 0, -1)[..., None]          # (2, 2, B, 1)
-    P = s * -G
-    c = np.cos(theta)
-    P[0, 0] += c
-    P[1, 1] += c
-    return P
+    _trig(widths, d, z, P[0, 0], P[0, 1])
+    return _fill(P, _generators(cells))
 
 
 def _sweep(ham, z, m, t=None):
@@ -93,17 +124,35 @@ def _sweep(ham, z, m, t=None):
     d = np.sqrt(np.maximum(ham.dets[:n], 0.0))
     im_max = np.max(np.abs(z.imag), initial=0.0)
     nsub = np.maximum(1, np.ceil(im_max * widths * d / _MAX_GROWTH)).astype(int)
+    steps = widths / nsub
+    g = _generators(ham.cells[:n])
 
     state = np.eye(2, m, dtype=np.result_type(z, np.float64))[..., None]
     state = state.repeat(z.size, axis=-1)
     scale = np.zeros(z.size, dtype=np.int64)
     yield 0, state, scale
     per_block = max(1, _BLOCK // max(z.size, 1))
+    # the trig depends on a cell only through (step, d); when the distinct
+    # pairs fit in a block, each is evaluated once and gathered per block
+    _, first, pair = np.unique(steps + 1j * d, return_index=True,
+                               return_inverse=True)
+    shared = first.size <= per_block
+    if shared:
+        c, s = (np.empty((first.size, z.size), dtype=state.dtype)
+                for _ in range(2))
+        _trig(steps[first], d[first], z, c, s)
+    P = np.empty((2, 2, min(per_block, n), z.size), dtype=state.dtype)
     for lo in range(0, n, per_block):
         hi = min(lo + per_block, n)
-        P = _propagators(ham.cells[lo:hi], widths[lo:hi] / nsub[lo:hi], z)
+        Pb = P[:, :, :hi - lo]
+        if shared:     # "clip": the rows are valid, and "raise" buffers
+            np.take(c, pair[lo:hi], axis=0, out=Pb[0, 0], mode="clip")
+            np.take(s, pair[lo:hi], axis=0, out=Pb[0, 1], mode="clip")
+        else:
+            _trig(steps[lo:hi], d[lo:hi], z, Pb[0, 0], Pb[0, 1])
+        _fill(Pb, g[:, :, lo:hi])
         for k in range(lo, hi):
-            Pk = P[:, :, k - lo, None, :]                 # (2, 2, 1, nz)
+            Pk = Pb[:, :, k - lo, None, :]                # (2, 2, 1, nz)
             for _ in range(nsub[k]):
                 state = Pk[:, 0] * state[0] + Pk[:, 1] * state[1]
                 e = np.frexp(np.abs(state).max(axis=(0, 1)))[1]

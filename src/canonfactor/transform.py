@@ -19,8 +19,11 @@ comes, and the phase e^{-iz a_c}, and for complex z the scale, go into
 an exponential that they compute anyway: ``wave_amplitudes`` returns
 alpha_c = beta_c e^{-iz a_c}, so P_t = alpha_c e^{izt}, for
 ``krein_wave`` and the kernel checks, and ``f_mu_apply`` integrates
-beta_c e^{iz(t - a_c)} over each segment in closed form.  (The factor
-pushes quadrature moments through the cells instead; see ``factorize``.)
+beta_c e^{iz(t - a_c)} over each segment in closed form: for real z it
+carries the phase of a whole wave cell from the cell before, one
+complex exponential per distinct cell width, while complex z keeps the
+sweep's scale inside a direct exponential.  (The factor pushes
+quadrature moments through the cells instead; see ``factorize``.)
 P_t jumps at the wave nodes 2 a_c with sqrt(H); ``krein_wave`` is
 right-continuous there.  ``reproducing_kernel`` is the closed form in
 Theta itself, against which the amplitudes are checked.
@@ -167,6 +170,13 @@ def f_mu_apply(ham, f, z_grid):
     (tail must be absent or zero); the integral is exact per refined cell: on a
     segment [u, v] of wave cell c it is beta_c e^{iz(mid - a_c)} (v - u)
     sinc(z (v - u)/2), mid = (u + v)/2, with a real sinc for real z.
+
+    For real z a whole wave cell [2 a_c, 2 b_c] has phase e^{iz b_c} and
+    sinc factor 2 w_c sinch(z w_c), w_c = b_c - a_c: the phase is carried
+    from the cell before by the factor e^{iz w_c}, which with the sinc
+    factor is recomputed only when the width changes (a memo of one).
+    Segments that split a cell, and complex z, take e^{iz(mid - a_c)}
+    directly, complex z with the sweep's scale inside the exponent.
     """
     if f.tail not in (None, 0.0):
         raise DomainError("f must be supported inside its grid")
@@ -181,6 +191,8 @@ def f_mu_apply(ham, f, z_grid):
         f.grid.nodes, np.clip(wave_nodes, 0.0, r)]))
     edges = edges[edges <= r + 1e-15]
     out = np.zeros(z.shape, dtype=complex)
+    real = not np.iscomplexobj(z)
+    width = carried = None    # last whole-cell width; cell the phase is at
     # the segments run left to right, so each row is read as it comes
     rows = _amplitude_rows(ham, z, k_use)
     c, beta, scale = next(rows)
@@ -195,8 +207,20 @@ def f_mu_apply(ham, f, z_grid):
             c, beta, scale = next(rows)
         half = 0.5 * (v - u)
         with np.errstate(over="ignore", invalid="ignore"):
-            out += (beta * _phase(z, mid - ham.grid.nodes[c], scale)
-                    * (fv * 2.0 * half * sinch(z * half)))
+            if real and u == wave_nodes[c] and v == wave_nodes[c + 1]:
+                if half != width:
+                    width = half
+                    step = np.exp(1j * z * width)
+                    sinc = 2.0 * width * sinch(z * width)
+                if carried == c - 1:
+                    phase *= step
+                else:
+                    phase = np.exp(1j * z * ham.grid.nodes[c + 1])
+                carried = c
+                out += beta * phase * (fv * sinc)
+            else:
+                out += (beta * _phase(z, mid - ham.grid.nodes[c], scale)
+                        * (fv * 2.0 * half * sinch(z * half)))
     if not np.all(np.isfinite(out)):
         raise DomainError("wave transform overflows; reduce Im z or span")
     out /= np.sqrt(2.0 * np.pi)

@@ -10,6 +10,7 @@ from canonfactor import (DomainError, Hamiltonian, J, inverse_spectral,
                          j_energy_residual, krein_wave, random_unimodular,
                          reproducing_kernel, sinc_bump_weight,
                          transfer_matrix, wave_amplitudes)
+from canonfactor import solver
 from canonfactor.solver import _restore, _sweep, sinch
 
 
@@ -193,6 +194,94 @@ def test_matches_per_cell_product():
         ref = P @ ref
     M = transfer_matrix(ham, ham.grid.span, zs).m
     assert np.max(np.abs(M - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def _per_cell_sweep(ham, z, m):
+    """The states and scales of the sweep from one closed-form propagator
+    per cell, evaluated cell by cell, with the same substeps and rescale."""
+    state = np.eye(2, m, dtype=np.result_type(z, np.float64))[..., None]
+    state = state.repeat(z.size, axis=-1)
+    scale = np.zeros(z.size, dtype=np.int64)
+    rows = [(state, scale)]
+    im_max = np.max(np.abs(z.imag), initial=0.0)
+    for C, width in zip(ham.cells, ham.grid.widths):
+        d = np.sqrt(np.maximum(C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0], 0.0))
+        nsub = max(1, int(np.ceil(im_max * width * d / 200.0)))
+        zw = width / nsub * z
+        theta = zw * d
+        P = (zw * sinch(theta)) * -(J @ C)[..., None]
+        P[0, 0] += np.cos(theta)
+        P[1, 1] += np.cos(theta)
+        for _ in range(nsub):
+            state = P[:, 0, None] * state[0] + P[:, 1, None] * state[1]
+            e = np.frexp(np.abs(state).max(axis=(0, 1)))[1]
+            state *= np.ldexp(1.0, -e)
+            scale = scale + e
+        rows.append((state, scale))
+    return rows
+
+
+_SWEEP_CASES = {
+    # 2048 cells, 3 distinct (step, sqrt det) pairs
+    "recovered": lambda: (
+        inverse_spectral(sinc_bump_weight(0.5, 1.0), 20.0, 2048),
+        np.linspace(-40.0, 40.0, 8)),
+    # every pair distinct; complex z makes one block 256 KiB, past which
+    # numpy may evaluate a product of temporaries in either operand
+    # order, and complex128 products round differently by order
+    "random_unimodular": lambda: (
+        random_unimodular(np.random.default_rng(41), 2048, 20.0),
+        np.linspace(-40.0, 40.0, 8) + 0.25j),
+    "det_zero": lambda: (
+        Hamiltonian.from_entries(np.linspace(0.0, 6.0, 7),
+                                 [1.0, 0.0, 1.0, 2.0, 1.0, 0.0],
+                                 [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                                 [0.0, 1.0, 1.0, 0.5, 0.0, 1.0]),
+        np.linspace(-40.0, 40.0, 8) + 0.5j),
+    # |Im z| * width * sqrt(det) up to ~550 > 200: cells take 2 or 3 substeps
+    "complex_substeps": lambda: (
+        random_unimodular(np.random.default_rng(43), 12, 12.0),
+        np.array([1.0 + 300j, -2.0 + 450j, 0.5 - 120j, 3.0, 0.1j, 7.0 - 1j,
+                  -4.0 + 20j, 2.0 + 60j])),
+}
+
+
+@pytest.mark.parametrize("block", [solver._BLOCK, 64],
+                         ids=["one-block", "8-cell-blocks"])
+@pytest.mark.parametrize("name", sorted(_SWEEP_CASES))
+def test_sweep_matches_per_cell_propagators(name, block, monkeypatch):
+    # the sweep evaluates the trig once per distinct (step, d) and
+    # gathers it into each block; the states must not move by a bit
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    ham, z = _SWEEP_CASES[name]()
+    if name == "complex_substeps":
+        growth = np.max(np.abs(z.imag)) * ham.grid.widths * np.sqrt(ham.dets)
+        assert np.max(growth) > 2 * 200.0
+    for m in (1, 2):
+        got = list(_sweep(ham, z, m))
+        ref = _per_cell_sweep(ham, z, m)
+        assert len(got) == len(ref) == ham.grid.n_cells + 1
+        for (_, a, sa), (b, sb) in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b) and np.array_equal(sa, sb)
+
+
+def test_sweep_takes_one_trig_row_per_distinct_step(monkeypatch):
+    # the 2048 cells of the recovered sinc bump share 3 (step, sqrt det)
+    # pairs; a sweep with a propagator trig per cell passes 2048 rows
+    ham = inverse_spectral(sinc_bump_weight(0.5, 1.0), 20.0, 2048)
+    pairs = np.unique(ham.grid.widths + 1j * np.sqrt(ham.dets)).size
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return sinch(x)
+
+    monkeypatch.setattr(solver, "sinch", counted)
+    for _ in _sweep(ham, np.linspace(-1e3, 1e3, 4001), 1):   # 32 blocks
+        pass
+    assert pairs == 3
+    assert sum(rows) <= pairs
 
 
 def test_overflow_is_domain_error():
