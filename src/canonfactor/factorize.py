@@ -13,9 +13,11 @@ against the waves of the Hamiltonian recovered from w, read straight
 off the wave values of the inverse map's Levinson pass, and is compared
 against a direct Cholesky oracle.  The factor forms the dense
 W from the Toeplitz column of ``accelerant`` for the oracle and the
-residual alone, and reads every 2-norm of its report off a symmetric
-eigensolve of a matrix it already holds.  ``build_toeplitz`` adds the
-certified extremes of W, from the O(n^2) brackets of the inverse layer.
+residual alone.  Its report makes one eigensolve, of A^T A for the exact
+cond(A); the residual and the distance to the oracle are certified upper
+bounds on their 2-norms from O(n^2) 1- and inf-norms.  ``build_toeplitz``
+adds the certified extremes of W, from the O(n^2) brackets of the
+inverse layer.
 
 The pairing needs no sweep.  Row i pairs conj(alpha_i) = conj(q_i
 Theta(a_i, x)) e^{ix a_i}, a_i = i h/2, against e^{ixhj} on quadrature
@@ -109,16 +111,30 @@ def chain_preservation_check(A):
     n = A.shape[0]
     if n < 2:
         return 0.0
-    sq = A * A
-    colsum_below = np.cumsum(sq[::-1], axis=0)[::-1]   # sum over i >= k
-    blocks = np.cumsum(colsum_below, axis=1)            # then over j < k
-    leaks = blocks[np.arange(1, n), np.arange(n - 1)]
+    # entry (i, j), i > j, is in the block of k = j + 1..i: it enters
+    # with column j and leaves with row i
+    sq = np.tril(A, -1)
+    sq *= sq
+    leaks = np.cumsum(sq.sum(axis=0) - sq.sum(axis=1))[:-1]
     return float(np.sqrt(max(leaks.max(), 0.0)))
 
 
 @dataclass
 class FactorReport:
-    """Key-value summary of a factorization run."""
+    """Key-value summary of a factorization run.
+
+    ``cond`` is cond(A), from the eigenvalues of A^T A (``inf`` if A^T A
+    is singular).  ``residual`` >= ||W - A^T A||_2 / ||W||_2 and
+    ``vs_cholesky`` >= ||A - L^T||_2 / ||L||_2, L the Cholesky factor of
+    W, are certified upper bounds: ||S||_2 <= ||S||_1 for the symmetric
+    S = W - A^T A, ||D||_2 <= sqrt(||D||_1 ||D||_inf) for D = A - L^T,
+    and ||W||_2 = ||L||_2^2 >= lambda_max(A^T A) - ||S||_1 (Weyl).  They
+    read 1.07-1.11x the exact 2-norms on the sinc bump and 1.39-1.92x on
+    the step weight at n = 96 to 2048, ratios that do not grow with n.
+    Both are ``inf`` when that lower bound on ||W||_2 is not positive, a
+    factor too far from W to certify anything.  ``leakage`` is the
+    below-diagonal mass of A before it was zeroed, relative to ||A||_F.
+    """
 
     n: int
     h: float
@@ -196,15 +212,6 @@ def _lag_assembly(p, mu, h, n):
     return A
 
 
-def _sym_norm2(S):
-    """2-norm of the symmetric matrix S, max |eigenvalue|.
-
-    numpy's LAPACK, not scipy's: the scipy wheel bundles its own
-    OpenBLAS, whose eigensolve measured ~3x slower than numpy's when it
-    ran between numpy BLAS calls (2 cores, 512 x 512)."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
-
-
 def factor_via_transform(mu, R, n):
     """Upper triangular factor A with A^T A ~= the discrete matrix.
 
@@ -216,6 +223,8 @@ def factor_via_transform(mu, R, n):
     sign-flipped (A^T A is unchanged); entries below the diagonal are
     zeroed and their pre-zero mass reported as leakage.  A comes off the
     moment recursion ``_lag_assembly``: O(n^2) time and memory, no sweep.
+    The report adds the oracle's Cholesky, one product A^T A and its
+    eigensolve (``FactorReport`` has the bounds).
     """
     mu.require_positive()
     n = _check_span(R, n, "R")
@@ -238,17 +247,20 @@ def factor_via_transform(mu, R, n):
     leakage = chain_preservation_check(A)
     A = np.triu(A)
 
-    # every 2-norm from a symmetric matrix already at hand: ||W||, and
-    # ||L|| = sqrt(||W||) since W = L L^T; cond(A)^2 = cond(A^T A);
-    # ||A - L^T||^2 = ||D^T D|| for D = A - L^T.  W - G and D overwrite
-    # G, which keeps one n x n array fewer alive at the peak.
+    # one eigensolve, for cond(A)^2 = cond(A^T A); the bounds of the
+    # ``FactorReport`` docstring, with w_lo <= ||W||_2 by Weyl.  |W - G|
+    # and |D| overwrite G.
     G = A.T @ A
     lam = np.linalg.eigvalsh(G)
     cond = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
-    scale = _sym_norm2(W)
-    residual = _sym_norm2(np.subtract(W, G, out=G)) / scale
-    D = np.subtract(A, cholesky_oracle(W).T, out=G)
-    vs_chol = np.sqrt(_sym_norm2(D.T @ D) / scale)
+    e1 = np.abs(np.subtract(W, G, out=G), out=G).sum(axis=0).max()
+    w_lo = lam[-1] - e1
+    D = np.abs(np.subtract(A, cholesky_oracle(W).T, out=G), out=G)
+    with np.errstate(all="ignore"):
+        residual = e1 / w_lo
+        vs_chol = np.sqrt(D.sum(axis=0).max() * D.sum(axis=1).max() / w_lo)
+    if not (w_lo > 0.0 and np.isfinite(residual) and np.isfinite(vs_chol)):
+        residual = vs_chol = np.inf        # no certified bound
     report = FactorReport(
         n, h, float(residual), float(cond),
         float(leakage / max(np.linalg.norm(A), 1e-300)),
