@@ -22,8 +22,6 @@ _EXPORTS = {
     "J": ".hamiltonian",
     "Grid": ".hamiltonian",
     "Hamiltonian": ".hamiltonian",
-    "ValidationReport": ".hamiltonian",
-    "validate": ".hamiltonian",
     "random_unimodular": ".hamiltonian",
     "read_hamiltonian": ".hamiltonian",
     "write_hamiltonian": ".hamiltonian",

@@ -52,9 +52,10 @@ def _numeric_kernel(mu, times):
         raise DomainError(
             "w - 1 is not integrable (tail != 1); apply truncate_weight")
     X = mu.window
-    if mu.tail_bound is not None:
-        while mu.tail_deviation(X) * X > 1e-10 and X < 1e6:
-            X *= 2.0
+    if mu.tail_deviation(X) * X > 1e-10:
+        raise DomainError(
+            f"w - 1 is not negligible beyond the window {X:g}; "
+            "apply truncate_weight first")
     t_max = max(np.max(times, initial=0.0), 1.0)
     # ~6 nodes per period of the fastest oscillation
     n_panels = int(np.ceil(X * t_max / np.pi)) + len(mu.breakpoints) + 4

@@ -3,8 +3,8 @@
 Deliberately import-light at module level: all numeric imports happen
 inside the handlers, after every flag value and the weight spec are
 parsed, so --help and a malformed command line, INI file, flag value or
-weight spec answer without the ~0.9 s import of numpy and scipy (an
-unknown weight family or an unreadable file may come after it).
+weight spec answer without importing numpy (an unknown weight family or
+an unreadable file may come after it).
 
 Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
 (including a malformed command line, a non-finite number, and any path

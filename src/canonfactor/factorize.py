@@ -39,7 +39,8 @@ import numpy as np
 
 from .accelerant import _toeplitz_column
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .inverse import _cell_waves, _certified_extremes, _check_span
+from .inverse import (_cell_waves, _certified_extremes, _check_span,
+                      _positivity_lost)
 from .quadrature import gauss_legendre
 from .tables import read_table, write_table
 
@@ -86,9 +87,11 @@ def build_toeplitz(mu, n, h):
         lo, hi = map(float, _certified_extremes(col))
         W = _dense_toeplitz(col)
     if lo <= 0.0:
+        found = f"matrix not positive definite (min eigenvalue {lo:.3e})"
+        if mu.c1 > 0:
+            raise _positivity_lost(mu, found)
         raise SpectralPositivityError(
-            f"matrix not positive definite (min eigenvalue {lo:.3e}); "
-            "the symbol must be bounded away from zero")
+            f"{found}; the symbol must be bounded away from zero")
     return DiscreteWienerHopf(n, float(h), W, (mu.c1, mu.c2), lo, hi)
 
 
@@ -134,6 +137,8 @@ class FactorReport:
     Both are ``inf`` when that lower bound on ||W||_2 is not positive, a
     factor too far from W to certify anything.  ``leakage`` is the
     below-diagonal mass of A before it was zeroed, relative to ||A||_F.
+    ``pe_floor`` and ``max_reflection`` are the health figures of the wave
+    pass the factor reads, as in ``InversionReport``.
     """
 
     n: int
@@ -144,6 +149,8 @@ class FactorReport:
     vs_cholesky: float
     min_abs_diag: float
     symbol_bounds: tuple
+    pe_floor: float
+    max_reflection: float
 
     def __str__(self):
         lines = [
@@ -155,6 +162,8 @@ class FactorReport:
             f"vs_cholesky={self.vs_cholesky:.6e}",
             f"min_abs_diag={self.min_abs_diag:.6e}",
             f"symbol_bounds={self.symbol_bounds[0]:.6g},{self.symbol_bounds[1]:.6g}",
+            f"pe_floor={self.pe_floor:.6e}",
+            f"max_reflection={self.max_reflection:.6e}",
         ]
         return "\n".join(lines)
 
@@ -233,13 +242,14 @@ def factor_via_transform(mu, R, n):
         c = mu.c1
         A = np.sqrt(c) * np.eye(n)
         report = FactorReport(n, h, 0.0, 1.0, 0.0, 0.0, float(np.sqrt(c)),
-                              (c, c))
+                              (c, c), pe_floor=1.0, max_reflection=0.0)
         return A, report
 
     W = _dense_toeplitz(_toeplitz_column(mu, h, n))
     # A = 2 Re int_0^X conj(alpha_i e^{ix t_i}) e^{ix t_j} w(x) dx h/2pi;
     # the integrand is conjugate-even in x, so the half-window suffices.
-    A = _lag_assembly(_cell_waves(mu, R / 2.0, n)[0], mu, h, n)
+    p, _, pe_floor, kmax = _cell_waves(mu, R / 2.0, n)
+    A = _lag_assembly(p, mu, h, n)
 
     diag = np.diag(A).copy()
     signs = np.where(diag < 0.0, -1.0, 1.0)
@@ -265,7 +275,7 @@ def factor_via_transform(mu, R, n):
         n, h, float(residual), float(cond),
         float(leakage / max(np.linalg.norm(A), 1e-300)),
         float(vs_chol), float(np.abs(np.diag(A)).min()),
-        (mu.c1, mu.c2))
+        (mu.c1, mu.c2), pe_floor, kmax)
     return A, report
 
 

@@ -101,10 +101,7 @@ class Hamiltonian:
         cells.setflags(write=False)
         self.grid = grid
         self.cells = cells
-        report = validate(self)
-        if not report.ok:
-            raise ValidationError("; ".join(report.issues))
-        self.unimodular = report.max_det_deviation <= DET_TOL
+        self.unimodular = _check_cells(cells) <= DET_TOL
 
     # -- constructors ----------------------------------------------------
 
@@ -207,25 +204,10 @@ def random_unimodular(rng, n_cells, span):
     return Hamiltonian.from_entries(nodes, h1, h, h2)
 
 
-class ValidationReport:
-    def __init__(self, ok, issues, max_det_deviation):
-        self.ok = ok
-        self.issues = issues
-        self.max_det_deviation = max_det_deviation
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate(ham):
-    """Check finiteness, symmetry and PSD-ness per cell; a determinant
-    that overflows is rejected.  ``max_det_deviation`` is max |det - 1|
-    over the cells, from which the Hamiltonian reads its unimodularity.
-
-    Returns a ValidationReport rather than raising, so callers can decide.
-    """
+def _check_cells(c):
+    """Max |det - 1| over the cells c (K, 2, 2), which must be finite,
+    exactly symmetric and PSD with a determinant in double range."""
     issues = []
-    c = ham.cells
     with np.errstate(over="ignore", invalid="ignore"):
         dets = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
     if not np.all(np.isfinite(c)):
@@ -241,8 +223,9 @@ def validate(ham):
     if np.any(dets < -PSD_TOL):
         bad = int(np.argmin(dets))
         issues.append(f"cell {bad} has det = {dets[bad]:.3g} < 0 (not PSD)")
-    max_dev = float(np.max(np.abs(dets - 1.0))) if dets.size else 0.0
-    return ValidationReport(not issues, issues, max_dev)
+    if issues:
+        raise ValidationError("; ".join(issues))
+    return float(np.max(np.abs(dets - 1.0)))
 
 
 # -- file format ------------------------------------------------------------

@@ -26,6 +26,8 @@ min_eig <= lambda_min(W), max_eig >= lambda_max(W), each within
 _EIG_RTOL relative, and cond is an upper bound.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .accelerant import _toeplitz_column
@@ -36,6 +38,7 @@ _EIG_RTOL = 1e-10       # relative width of the certified eigenvalue brackets
 _LANCZOS_STEPS = 60
 
 
+@dataclass
 class InversionReport:
     """Diagnostics attached to an inverse_spectral run.
 
@@ -45,23 +48,19 @@ class InversionReport:
     is lost as pe_floor -> 0, equivalently max_reflection -> 1).
     """
 
-    def __init__(self, n_cells, eta, min_eig, max_eig, max_det_dev,
-                 pe_floor, max_reflection):
-        self.n_cells = n_cells
-        self.eta = eta
-        self.min_eig = min_eig
-        self.max_eig = max_eig
-        self.cond = max_eig / min_eig if min_eig > 0 else np.inf
-        self.max_det_dev = max_det_dev
-        self.pe_floor = pe_floor
-        self.max_reflection = max_reflection
-        self.ill_conditioned = self.cond > 1e12
+    n_cells: int
+    eta: float
+    min_eig: float
+    max_eig: float
+    max_det_dev: float
+    pe_floor: float
+    max_reflection: float
+    cond: float = field(init=False)
+    ill_conditioned: bool = field(init=False)
 
-    def __repr__(self):
-        return (f"InversionReport(n={self.n_cells}, eta={self.eta:.4g}, "
-                f"eig=[{self.min_eig:.4g}, {self.max_eig:.4g}], "
-                f"cond={self.cond:.4g}, pe_floor={self.pe_floor:.4g}, "
-                f"max_reflection={self.max_reflection:.4g})")
+    def __post_init__(self):
+        self.cond = self.max_eig / self.min_eig if self.min_eig > 0 else np.inf
+        self.ill_conditioned = self.cond > 1e12
 
 
 def _levinson(col, y=None, a=None):
@@ -262,6 +261,15 @@ def _check_span(length, n, name):
     return int(n)
 
 
+def _positivity_lost(mu, found):
+    """The SpectralPositivityError for a section of mu, c1 > 0, that failed
+    its positivity test: rounding at high contrast c2/c1, or aliasing."""
+    return SpectralPositivityError(
+        f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
+        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (from ~1/eps = "
+        "4.5e15 on) or a step that aliases the weight")
+
+
 def _cell_waves(mu, R, N):
     """Wave values p at x = 0 on the N cells of [0, R], with the Toeplitz
     column of their Levinson pass and its health figures (pe_floor,
@@ -283,9 +291,8 @@ def _cell_waves(mu, R, N):
     y = np.empty(2 * N)
     positive, pe_floor, kmax = _levinson(col, y)
     if not positive:
-        raise SpectralPositivityError(
-            "discretized Wiener-Hopf matrix is not positive definite; "
-            "the weight must stay bounded away from zero")
+        raise _positivity_lost(
+            mu, "discretized Wiener-Hopf matrix is not positive definite")
     p = 0.5 * (y[0::2] + y[1::2])
     if np.any(p <= 0):
         raise SpectralPositivityError(

@@ -3,9 +3,10 @@
 ``gauss_legendre``: order-p Gauss-Legendre on many panels at once, exact
 per panel on polynomials of degree 2p - 1.  Every fixed panel rule in
 the package (accelerant, factor pairing, isometry window, kernel Gram
-matrix, energy identity) is built from it.
+matrix) is built from it.
 
-``gauss_kronrod``: adaptive integration over many intervals at once.
+``gauss_kronrod``: adaptive integration over many intervals at once
+(the energy identity, the Szego functional).
 One G10/K21 pair (the QUADPACK ``qk21`` rule) with its error estimate,
 applied to every live interval in one array call per round: each round
 evaluates the integrand on all live intervals' 21 nodes together, keeps

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hamiltonian import J
-from .quadrature import gauss_legendre
+from .quadrature import gauss_kronrod
 
 _BLOCK = 1 << 18        # cells x z per block of propagators
 _MAX_GROWTH = 200.0     # largest |Im z| * step * d of one substep
@@ -88,20 +88,6 @@ def _fill(P, g):
 def _generators(cells):
     """-J C per cell, shaped (2, 2, B, 1) for ``_fill``."""
     return -np.moveaxis(J @ cells, 0, -1)[..., None]
-
-
-def _propagators(cells, widths, z):
-    """exp(-z * width * J * cell) for B cells and nz values of z.
-
-    cells : (B, 2, 2), widths : (B,), z : (nz,) real or complex.
-    Returns P with P[i, j] of shape (B, nz), real when z is.
-    """
-    P = np.empty((2, 2, len(widths), z.size),
-                 dtype=np.result_type(z, np.float64))
-    d = np.sqrt(np.maximum(
-        cells[:, 0, 0] * cells[:, 1, 1] - cells[:, 0, 1] * cells[:, 1, 0], 0.0))
-    _trig(widths, d, z, P[0, 0], P[0, 1])
-    return _fill(P, _generators(cells))
 
 
 def _sweep(ham, z, m, t=None):
@@ -199,15 +185,22 @@ class TransferMatrix:
         return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
+def _clip_time(ham, t, name):
+    """t cut to the grid span within 1e-12 relative slack, which absorbs
+    a last node rounded below the nominal span; DomainError outside."""
+    span = ham.grid.span
+    if not (0 <= t <= span + 1e-12 * max(1.0, span)):
+        raise DomainError(f"{name} = {t} outside grid span [0, {span}]")
+    return min(t, span)
+
+
 def transfer_matrix(ham, t, z):
     """M(t, z): the sweep cut at t, with its scale put back.
 
     t must lie inside the grid.  z may be a scalar or an array.  Raises
     DomainError where an entry of M(t, z) is beyond double range.
     """
-    if not (0 <= t <= ham.grid.span + 1e-12 * max(1.0, ham.grid.span)):
-        raise DomainError(f"t = {t} outside grid span [0, {ham.grid.span}]")
-    t = min(t, ham.grid.span)
+    t = _clip_time(ham, t, "t")
     z = np.asarray(z, dtype=complex)
     for _, state, scale in _sweep(ham, z.reshape(-1), 2, t):
         pass
@@ -220,37 +213,34 @@ def j_energy_residual(ham, r, z):
 
         <J Theta(r), Theta(r)> = 2i Im(z) * int_0^r <H Theta, Theta> dt.
 
-    The right side is integrated per cell with Gauss-Legendre quadrature,
-    doubling the order from 8 (up to 64) until the relative change drops
-    below 1e-10; Theta at the quadrature nodes is one in-cell propagator
-    applied to Theta at the cell start.  Returns |LHS - RHS|.
+    The right side is integrated by ``gauss_kronrod`` to 1e-10 relative,
+    one segment per cell; Theta at the quadrature nodes is one in-cell
+    propagator applied to Theta at the cell start.  r takes the same
+    rounding slack as ``transfer_matrix``.  Returns |LHS - RHS|.
     """
-    if not (0 <= r <= ham.grid.span):
-        raise DomainError(f"r = {r} outside grid span")
+    r = _clip_time(ham, r, "r")
     z = np.array([complex(z)])
     _, states, scales = zip(*_sweep(ham, z, 1, r))
     theta = _restore(np.concatenate(states, axis=-1)[:, 0],   # (2, n + 1)
                      np.concatenate(scales), r, z)
     th = theta[:, -1]
     lhs = np.vdot(th, J @ th)   # sum (J th)_j conj(th_j)
-
+    if r == 0.0:
+        return abs(lhs)
     n = theta.shape[1] - 1                  # cells starting before r
-    a = ham.grid.nodes[:n]
-    b = np.minimum(ham.grid.nodes[1:n + 1], r)
+    nodes = ham.grid.nodes
+    d = np.sqrt(np.maximum(ham.dets, 0.0))
+    g = _generators(ham.cells)
 
-    def rhs(p):
-        x, w = gauss_legendre(p, a, b)                   # (n, p)
-        cells = np.repeat(ham.cells[:n], p, axis=0)
-        P = _propagators(cells, (x - a[:, None]).ravel(), z)[..., 0]
-        th0 = np.repeat(theta[:, :n], p, axis=1)         # (2, n p)
-        th_i = P[:, 0] * th0[0] + P[:, 1] * th0[1]
-        h_th = np.einsum("kij,jk->ik", cells, th_i)
-        total = np.sum(w.ravel() * np.sum(np.conj(th_i) * h_th, axis=0))
-        return 2j * z[0].imag * total
+    def h_energy(x):
+        k = np.minimum(np.searchsorted(nodes, x, side="right") - 1, n - 1)
+        P = np.empty((2, 2, x.size, 1), dtype=complex)
+        _trig(x - nodes[k], d[k], z, P[0, 0], P[0, 1])
+        P = _fill(P, g[:, :, k])[..., 0]
+        th_x = P[:, 0] * theta[0, k] + P[:, 1] * theta[1, k]
+        return np.einsum("ik,kij,jk->k", th_x.conj(), ham.cells[k],
+                         th_x).real[None]
 
-    cur = rhs(8)
-    for order in (16, 32, 64):
-        prev, cur = cur, rhs(order)
-        if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
-            break
-    return abs(lhs - cur)
+    rhs = 2j * z[0].imag * gauss_kronrod(
+        h_energy, np.append(nodes[:n], r), 0.0, 1e-10)[0]
+    return abs(lhs - rhs)

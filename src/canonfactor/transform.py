@@ -131,11 +131,6 @@ def krein_wave(ham, t, z):
     return complex(alphas[c] * np.exp(1j * z * t))
 
 
-def _j_pair(theta_z, theta_lam):
-    """<J a, b> = sum (J a)_i conj(b_i) for 2-vectors."""
-    return ((J @ theta_z) * np.conj(theta_lam)).sum()
-
-
 def reproducing_kernel(ham, r, z, lam):
     """k_{r,lam}(z) = e^{ir(z - conj lam)/2} <J Theta(r/2, z), Theta(r/2,
     lam)> / (pi (z - conj lam)), with the removable singularity at
@@ -151,7 +146,7 @@ def reproducing_kernel(ham, r, z, lam):
 
     def numer(zz):
         th = transfer_matrix(ham, tau, zz).theta
-        return np.exp(1j * r * (zz - lbar) / 2.0) * _j_pair(th, th_lam)
+        return np.exp(1j * r * (zz - lbar) / 2.0) * np.vdot(th_lam, J @ th)
 
     if abs(delta) >= 1e-6:
         return complex(numer(z) / (np.pi * delta))
@@ -281,8 +276,7 @@ def isometry_residual(ham, mu, f, X=1e3):
     dens = np.asarray(mu(nodes), dtype=float)
     window = float(np.sum(wq.ravel() * np.abs(F) ** 2 * dens))
 
-    k_use = int(np.searchsorted(ham.grid.nodes[:-1], r / 2.0, side="left"))
-    ident = np.allclose(ham.cells[:max(k_use, 1)],
+    ident = np.allclose(ham.cells[:_wave_cells(ham, r)],
                         np.eye(2), rtol=0.0, atol=1e-13)
     if ident and mu.tail_bound is None and mu.window <= X:
         tail = _plancherel_tail(f, X, mu.tail)

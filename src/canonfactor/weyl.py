@@ -71,11 +71,10 @@ def weyl_function(ham, z, tol=1e-12):
     m, d = weyl_sweep(ham, np.atleast_1d(np.asarray(z, dtype=complex)), tol)
     worst = float(np.max(d))
     if worst > tol:
-        err = ConvergenceError(
+        raise ConvergenceError(
             f"Weyl disk diameter {worst:.3e} > tol {tol:.1e} at grid end "
-            f"(span {ham.grid.span:g}); extend the Hamiltonian or relax tol")
-        err.last_residual = worst
-        raise err
+            f"(span {ham.grid.span:g}); extend the Hamiltonian or relax tol",
+            last_residual=worst)
     return complex(m.ravel()[0]) if scalar else m
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from canonfactor import (DomainError, Grid, HalfLineFunction, Hamiltonian,
                          ValidationError, random_unimodular, read_hamiltonian,
-                         validate, wave_amplitudes, write_hamiltonian)
+                         wave_amplitudes, write_hamiltonian)
 
 
 def test_grid_basics():
@@ -99,9 +99,6 @@ def test_random_unimodular_properties():
 
 
 def test_validate_flags_defects():
-    good = Hamiltonian.identity(2.0, 2)
-    rep = validate(good)
-    assert rep.ok and not rep.issues
     # construction itself runs the same checks, so a cell with
     # det = -3 never yields a usable object
     with pytest.raises(ValidationError, match="det"):

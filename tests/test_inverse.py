@@ -282,3 +282,41 @@ def test_inverse_deterministic(bump_mu):
     b = inverse_spectral(bump_mu, 8.0, 48)
     assert np.array_equal(a.cells, b.cells)
     assert np.array_equal(a.grid.nodes, b.grid.nodes)
+
+
+@pytest.mark.parametrize("fault", ["overshoot", "nan"])
+def test_certificate_survives_a_bad_ritz_pair(monkeypatch, fault):
+    # a shift-and-invert Ritz value that overshoots puts the next shift
+    # above lambda_min, whose Levinson pass fails and lowers hi; a nan
+    # one puts the shift outside the bracket, which then bisects.  From
+    # a crude start (hi far above lambda_min, so the Rayleigh quotient
+    # of the far-end vector handed back leaves hi where it is), the
+    # result is still a certified lower bound within _EIG_RTOL.
+    _, col, _, _ = inverse._cell_waves(sinc_bump_weight(0.5, 1.0), 10.0, 64)
+    eigs = np.linalg.eigvalsh(toeplitz(col))
+    start = eigs[0] + 1e-3 * (eigs[-1] - eigs[0])
+    lanczos, levinson = inverse._lanczos_extremes, inverse._levinson
+    events = []
+
+    def faulty(matvec, M):
+        low, (t, r, x) = lanczos(matvec, M)
+        if "ritz" not in events:
+            t, x = (0.5 * t if fault == "overshoot" else np.nan), low[2]
+        events.append("ritz")
+        return low, (t, r, x)
+
+    def passes(c, y=None, a=None):
+        out = levinson(c, y, a=a)
+        events.append((col[0] - c[0], out[0]))
+        return out
+
+    monkeypatch.setattr(inverse, "_lanczos_extremes", faulty)
+    monkeypatch.setattr(inverse, "_levinson", passes)
+    lo = inverse._certified_min(col, start, 2.0 * (start - eigs[0]))
+    shift, certified = events[events.index("ritz") + 1]
+    if fault == "overshoot":
+        assert shift > eigs[0] and not certified
+    else:
+        assert np.isfinite(shift)
+    ulp = 4 * np.spacing(eigs[-1])
+    assert eigs[0] * (1 - inverse._EIG_RTOL) - ulp <= lo <= eigs[0]

@@ -336,3 +336,28 @@ def test_j_energy_residual_small():
         ham = random_unimodular(rng, 4, span=3.0)
         z = complex(rng.uniform(-1, 1), rng.uniform(0.2, 1.0))
         assert j_energy_residual(ham, ham.grid.span, z) < 1e-8
+
+
+def test_j_energy_residual_matches_the_identity_closed_form():
+    # H = I: <J Theta, Theta> and the right side are both
+    # -i sinh(2 Im z r) (up to sign), so the defect is pure rounding
+    for r in (1.0, 4.0, 10.0):
+        ham = Hamiltonian.identity(r, 4)
+        for z in (1 + 0.5j, 0.3 + 1j, 2j, -1 + 0.2j):
+            scale = abs(np.sinh(2.0 * z.imag * r))
+            assert j_energy_residual(ham, r, z) <= 1e-14 * scale
+    # r = 0 has no cell to integrate over: the defect is |LHS| = 0
+    assert j_energy_residual(Hamiltonian.identity(2.0, 2), 0.0, 1 + 1j) == 0
+
+
+def test_j_energy_residual_takes_the_span_slack():
+    # this grid ends at 5.999999999999999; transfer_matrix accepts
+    # t = 6.0 under its 1e-12 relative slack, and so does the energy
+    rng = np.random.default_rng(5)
+    random_unimodular(rng, 12, span=6.0)
+    ham = random_unimodular(rng, 12, span=6.0)
+    assert ham.grid.span < 6.0
+    transfer_matrix(ham, 6.0, 1 + 0.5j)
+    assert j_energy_residual(ham, 6.0, 1 + 0.5j) < 1e-10
+    with pytest.raises(DomainError, match="outside grid span"):
+        j_energy_residual(ham, 6.0 + 1e-9, 1 + 0.5j)
