@@ -21,8 +21,8 @@ _BLOCK = 1 << 16        # times x quadrature nodes per block of cos(t x)
 
 def truncate_weight(mu, j):
     """Replace w by 1 outside [-j, j]; bounds widen to include 1."""
-    if j <= 0:
-        raise DomainError("truncation radius must be positive")
+    if not 0 < j < np.inf:
+        raise DomainError(f"truncation radius must be in (0, inf), got {j}")
     j = float(j)
     if mu.tail == 1.0 and mu.window <= j and mu.tail_bound is None:
         return mu          # already 1 beyond [-j, j]

@@ -188,9 +188,8 @@ def _kernel_gram(ham, r, zs):
     ts, wq = gauss_legendre(10, u + (v - u) * s / n,
                             u + (v - u) * (s + 1) / n)
     ts = ts.ravel()
-    alphas, wave_nodes = wave_amplitudes(ham, np.asarray(zs), t_max=r)
-    cells = np.searchsorted(wave_nodes, ts, side="right") - 1
-    P = alphas[cells] * np.exp(1j * np.outer(ts, zs))
+    alphas, _ = wave_amplitudes(ham, np.asarray(zs), t_max=r)
+    P = alphas[ham.grid.cell_index(ts / 2)] * np.exp(1j * np.outer(ts, zs))
     return (P * wq.reshape(-1, 1)).T @ np.conj(P) / (2.0 * np.pi)
 
 

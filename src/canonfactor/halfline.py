@@ -35,6 +35,8 @@ class HalfLineFunction:
                 f"need one value per cell: {values.shape} vs {grid.n_cells}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("values must be finite")
+        if tail is not None and not np.isfinite(tail):
+            raise ValidationError(f"tail must be finite, got {tail}")
         self.grid = grid
         self.values = values
         self.tail = None if tail is None else float(tail)
@@ -51,10 +53,7 @@ class HalfLineFunction:
         inside = t < self.grid.span
         if not np.all(inside) and self.tail is None:
             raise DomainError("evaluation beyond the grid needs a tail value")
-        idx = np.minimum(np.searchsorted(self.grid.nodes, t, side="right") - 1,
-                         self.grid.n_cells - 1)
-        idx = np.maximum(idx, 0)
-        vals = self.values[idx]
+        vals = self.values[self.grid.cell_index(np.minimum(t, self.grid.span))]
         if self.tail is not None:
             vals = np.where(inside, vals, self.tail)
         return vals if vals.ndim else float(vals)
@@ -69,8 +68,8 @@ class HalfLineFunction:
 
     def integrate(self, a, b, transform=None):
         """Exact integral of (transform of) f over [a, b], tail included."""
-        if b < a:
-            raise DomainError("integration bounds out of order")
+        if not a <= b:
+            raise DomainError(f"integration bounds [{a}, {b}] out of order")
         vals = self.values if transform is None else transform(self.values)
         nodes = self.grid.nodes
         lo = np.clip(nodes[:-1], a, b)
@@ -194,7 +193,7 @@ def _require_positive(f, need_tail=True):
 def _primitive(f, t, inverse=False):
     """int_0^t f (or 1/f) for every t in the array t, tail included.
 
-    One cumulative sum over the cells and a searchsorted; t < 0 counts
+    One cumulative sum over the cells and a cell lookup; t < 0 counts
     from 0.  The tail must be set when some t lies beyond the grid.  The
     sum runs in long double where the platform has it, so a difference
     of two values keeps the accuracy of a direct sum over its window.
@@ -205,8 +204,9 @@ def _primitive(f, t, inverse=False):
     t = np.maximum(np.asarray(t, dtype=float), 0.0)
     prim = np.concatenate([[0.0], np.cumsum(np.diff(nodes) * vals,
                                             dtype=np.longdouble)])
-    k = np.minimum(np.searchsorted(nodes, t, side="right") - 1, vals.size - 1)
-    inside = prim[k] + (np.minimum(t, nodes[-1]) - nodes[k]) * vals[k]
+    t_in = np.minimum(t, nodes[-1])
+    k = f.grid.cell_index(t_in)
+    inside = prim[k] + (t_in - nodes[k]) * vals[k]
     return inside + np.maximum(t - nodes[-1], 0.0) * tail
 
 
@@ -219,8 +219,9 @@ def a2_ell1_terms(f, window=2.0, offset=0.0):
     is a difference of the antiderivatives of f and 1/f.
     """
     _require_positive(f)
-    if window <= 0:
-        raise DomainError("window length must be positive")
+    if not (0 < window < np.inf and np.isfinite(offset)):
+        raise DomainError(f"need 0 < window < inf and a finite offset, "
+                          f"got window = {window}, offset = {offset}")
     n_stop = int(np.ceil(max(f.grid.span - offset, 0.0))) + 1
     a = np.arange(n_stop) + offset
     b = a + window
@@ -232,10 +233,9 @@ def a2_ell1_terms(f, window=2.0, offset=0.0):
 
 def a2_ell1(f, window=2.0, offset=0.0):
     """Sum of window defects; 0 iff f is (a.e.) constant."""
-    if np.all(f.values == f.values[0]) and (f.tail == f.values[0]):
-        _require_positive(f)
-        return 0.0                          # Hoelder equality case, exact
     terms = a2_ell1_terms(f, window=window, offset=offset)
+    if np.all(f.values == f.values[0]) and (f.tail == f.values[0]):
+        return 0.0                          # Hoelder equality case, exact
     return float(np.sum(np.maximum(terms, 0.0)))
 
 
@@ -354,7 +354,7 @@ def lemma2_harness(g, h):
     defect = 0.0
     for t0, t1 in zip(cut[:-1], cut[1:]):
         mid = 0.5 * (t0 + t1)
-        gi = g.grid.cell_index(min(mid, g.grid.span * (1 - 1e-12)))
+        gi = g.grid.cell_index(min(mid, g.grid.span))
         b = phi.values[gi] if mid < g.grid.span else 0.0
         base = lg_nodes[gi] + b * (t0 - g.grid.nodes[gi]) if \
             mid < g.grid.span else np.log(g.tail)

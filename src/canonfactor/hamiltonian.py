@@ -62,12 +62,26 @@ class Grid:
             raise DomainError(f"dilation factor must be positive, got {y}")
         return Grid(self.nodes * y)
 
+    def clip(self, t, name="t", scale=1.0):
+        """t (a number or an array) cut to [0, scale * span], with 1e-12
+        relative slack past the end for a last node rounded below the
+        nominal span; DomainError naming ``name`` outside it or on NaN."""
+        t = np.asarray(t, dtype=float)
+        end = scale * self.span
+        bad = ~((0 <= t) & (t <= end + 1e-12 * max(1.0, end)))
+        if np.any(bad):
+            where = "grid span" if scale == 1 else f"{scale:g} x grid span"
+            raise DomainError(f"{name} = {float(t[bad].flat[0])!r} outside "
+                              f"{where} [0, {end!r}]")
+        t = np.minimum(t, end)
+        return t if t.ndim else float(t)
+
     def cell_index(self, t):
-        """Index of the cell containing t (last cell closed on the right)."""
-        if not (0 <= t <= self.nodes[-1]):
-            raise DomainError(f"t = {t} outside grid [0, {self.nodes[-1]}]")
-        k = int(np.searchsorted(self.nodes, t, side="right") - 1)
-        return min(k, self.n_cells - 1)
+        """Index of the cell holding each t (last cell closed on the
+        right), after ``clip``."""
+        k = np.searchsorted(self.nodes, self.clip(t), side="right") - 1
+        k = np.minimum(k, self.n_cells - 1)
+        return k if k.ndim else int(k)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and np.array_equal(self.nodes, other.nodes)

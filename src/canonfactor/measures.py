@@ -97,8 +97,8 @@ class SpectralMeasure:
 # -- closed-form families ----------------------------------------------------
 
 def constant_weight(c):
-    if c <= 0:
-        raise DomainError("constant weight must be positive")
+    if not 0 < c < np.inf:
+        raise DomainError(f"constant weight must be in (0, inf), got {c}")
     m = SpectralMeasure(lambda x: np.full_like(x, c, dtype=float), c, c,
                         tail=c, window=0.0, label="constant", params={"c": c})
     return m
@@ -106,8 +106,9 @@ def constant_weight(c):
 
 def step_weight(inner=2.0, half_width=1.0, outer=1.0):
     """w = inner on [-a, a], outer outside."""
-    if inner < 0 or outer <= 0 or half_width <= 0:
-        raise DomainError("step weight needs inner >= 0, outer > 0, a > 0")
+    if not (0 <= inner < np.inf and 0 < outer < np.inf
+            and 0 < half_width < np.inf):
+        raise DomainError("step weight needs finite inner >= 0, outer, a > 0")
     a = float(half_width)
 
     def dens(x):
@@ -126,9 +127,9 @@ def step_weight(inner=2.0, half_width=1.0, outer=1.0):
 
 def cosine_bump_weight(amplitude=1.0, half_width=1.0):
     """w = 1 + A cos^2(pi x / (2a)) for |x| <= a, 1 outside."""
-    if half_width <= 0:
-        raise DomainError("half_width must be positive")
     A, a = float(amplitude), float(half_width)
+    if not (np.isfinite(A) and 0 < a < np.inf):
+        raise DomainError(f"need finite A and 0 < a < inf, got {A}, {a}")
     b = np.pi / a
 
     def dens(x):
@@ -154,8 +155,8 @@ def cosine_bump_weight(amplitude=1.0, half_width=1.0):
 def sinc_bump_weight(amplitude=0.5, scale=1.0):
     """w = 1 + A (sin(Bx)/(Bx))^2; accelerant is the triangle on [-2B, 2B]."""
     A, B = float(amplitude), float(scale)
-    if B <= 0:
-        raise DomainError("scale must be positive")
+    if not (np.isfinite(A) and 0 < B < np.inf):
+        raise DomainError(f"need finite A and 0 < B < inf, got {A}, {B}")
 
     def dens(x):
         return 1.0 + A * sinch(B * np.asarray(x, float)) ** 2

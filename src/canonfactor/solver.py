@@ -185,22 +185,13 @@ class TransferMatrix:
         return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _clip_time(ham, t, name):
-    """t cut to the grid span within 1e-12 relative slack, which absorbs
-    a last node rounded below the nominal span; DomainError outside."""
-    span = ham.grid.span
-    if not (0 <= t <= span + 1e-12 * max(1.0, span)):
-        raise DomainError(f"{name} = {t} outside grid span [0, {span}]")
-    return min(t, span)
-
-
 def transfer_matrix(ham, t, z):
     """M(t, z): the sweep cut at t, with its scale put back.
 
     t must lie inside the grid.  z may be a scalar or an array.  Raises
     DomainError where an entry of M(t, z) is beyond double range.
     """
-    t = _clip_time(ham, t, "t")
+    t = ham.grid.clip(t)
     z = np.asarray(z, dtype=complex)
     for _, state, scale in _sweep(ham, z.reshape(-1), 2, t):
         pass
@@ -218,7 +209,7 @@ def j_energy_residual(ham, r, z):
     propagator applied to Theta at the cell start.  r takes the same
     rounding slack as ``transfer_matrix``.  Returns |LHS - RHS|.
     """
-    r = _clip_time(ham, r, "r")
+    r = ham.grid.clip(r, "r")
     z = np.array([complex(z)])
     _, states, scales = zip(*_sweep(ham, z, 1, r))
     theta = _restore(np.concatenate(states, axis=-1)[:, 0],   # (2, n + 1)
@@ -233,7 +224,7 @@ def j_energy_residual(ham, r, z):
     g = _generators(ham.cells)
 
     def h_energy(x):
-        k = np.minimum(np.searchsorted(nodes, x, side="right") - 1, n - 1)
+        k = ham.grid.cell_index(x)
         P = np.empty((2, 2, x.size, 1), dtype=complex)
         _trig(x - nodes[k], d[k], z, P[0, 0], P[0, 1])
         P = _fill(P, g[:, :, k])[..., 0]

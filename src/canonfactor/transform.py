@@ -68,15 +68,13 @@ def _amplitude_rows(ham, z, k_use):
                       + (S[c, 0, 1] - 1j * S[c, 1, 1]) * th1), scale
 
 
-def _wave_cells(ham, t_max):
+def _wave_cells(ham, t_max, name="t_max"):
     """The k_use of ``_amplitude_rows`` for the transform: the number of
     cells whose waves reach wave time t_max, all of them for None."""
     if not ham.unimodular:
         raise DomainError("waves need a unimodular Hamiltonian")
     t_max = 2.0 * ham.grid.span if t_max is None else t_max
-    if not (0 <= t_max <= 2.0 * ham.grid.span + 1e-12):
-        raise DomainError(
-            f"t_max = {t_max:g} outside [0, {2 * ham.grid.span:g}]")
+    t_max = ham.grid.clip(t_max, name, 2.0)
     return max(1, int(np.searchsorted(ham.grid.nodes[:-1], t_max / 2.0,
                                       side="left")))
 
@@ -122,9 +120,7 @@ def krein_wave(ham, t, z):
     """The complex wave value P_t(z) = alpha_c(z) e^{izt} read off
     ``wave_amplitudes``, c the cell holding t/2: right-continuous at the
     wave nodes, where sqrt(H) jumps, and the last cell at t = 2 * span."""
-    t = float(t)
-    if not (0 <= t <= 2.0 * ham.grid.span):
-        raise DomainError(f"t = {t:g} outside [0, {2 * ham.grid.span:g}]")
+    t = ham.grid.clip(t, "t", 2.0)
     z = complex(z)
     c = ham.grid.cell_index(t / 2.0)
     alphas, _ = wave_amplitudes(ham, z, t_max=2.0 * ham.grid.nodes[c + 1])
@@ -136,8 +132,9 @@ def reproducing_kernel(ham, r, z, lam):
     lam)> / (pi (z - conj lam)), with the removable singularity at
     z = conj(lam) filled by a Richardson central difference.
     """
-    if not (0 < r <= 2.0 * ham.grid.span):
-        raise DomainError(f"r = {r:g} outside (0, {2 * ham.grid.span:g}]")
+    r = ham.grid.clip(r, "r", 2.0)
+    if r == 0.0:
+        raise DomainError("r must be positive")
     z, lam = complex(z), complex(lam)
     lbar = np.conj(lam)
     delta = z - lbar
@@ -180,24 +177,22 @@ def f_mu_apply(ham, f, z_grid):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     z = z.astype(np.result_type(z, np.float64), copy=False)
-    k_use = _wave_cells(ham, r)
+    k_use = _wave_cells(ham, r, "f span")
     wave_nodes = 2.0 * ham.grid.nodes[:k_use + 1]
     edges = np.unique(np.concatenate([
         f.grid.nodes, np.clip(wave_nodes, 0.0, r)]))
-    edges = edges[edges <= r + 1e-15]
+    # every segment lies in the f cell of its left edge
+    fvals = f.values[f.grid.cell_index(edges[:-1])]
     out = np.zeros(z.shape, dtype=complex)
     real = not np.iscomplexobj(z)
     width = carried = None    # last whole-cell width; cell the phase is at
     # the segments run left to right, so each row is read as it comes
     rows = _amplitude_rows(ham, z, k_use)
     c, beta, scale = next(rows)
-    for u, v in zip(edges[:-1], edges[1:]):
-        if v - u <= 1e-15:
+    for u, v, fv in zip(edges[:-1], edges[1:], fvals):
+        if v - u <= 1e-15 or fv == 0.0:
             continue
         mid = 0.5 * (u + v)
-        fv = float(f(min(mid, f.grid.span * (1 - 1e-15))))
-        if fv == 0.0:
-            continue
         while c < k_use - 1 and wave_nodes[c + 1] < mid:
             c, beta, scale = next(rows)
         half = 0.5 * (v - u)
@@ -260,9 +255,10 @@ def isometry_residual(ham, mu, f, X=1e3):
     mu.require_positive()
     if mu.tail is None:
         raise DomainError("isometry quadrature needs a constant-tail weight")
+    if not 0 < X < np.inf:
+        raise DomainError(f"X must be positive and finite, got {X}")
     r = f.grid.span
-    if r > 2.0 * ham.grid.span:
-        raise DomainError("f support exceeds the wave range")
+    k_use = _wave_cells(ham, r, "f span")
     norm_f = float(np.dot(f.grid.widths, f.values ** 2))
 
     n_panels = int(np.ceil(4.0 * X * max(r, 1.0) / np.pi))
@@ -276,7 +272,7 @@ def isometry_residual(ham, mu, f, X=1e3):
     dens = np.asarray(mu(nodes), dtype=float)
     window = float(np.sum(wq.ravel() * np.abs(F) ** 2 * dens))
 
-    ident = np.allclose(ham.cells[:_wave_cells(ham, r)],
+    ident = np.allclose(ham.cells[:k_use],
                         np.eye(2), rtol=0.0, atol=1e-13)
     if ident and mu.tail_bound is None and mu.window <= X:
         tail = _plancherel_tail(f, X, mu.tail)

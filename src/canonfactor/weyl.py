@@ -136,8 +136,8 @@ def szego_K(mu, z):
     if mu.c1 < 0:
         raise DomainError("szego_K needs a nonnegative density")
     z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("szego_K needs Im z > 0")
+    if not (np.isfinite(z.real) and 0 < z.imag < np.inf):
+        raise DomainError(f"szego_K needs a finite z with Im z > 0, got {z}")
     if mu.is_constant:
         return 0.0
     if mu.tail is None:
@@ -145,7 +145,7 @@ def szego_K(mu, z):
     tail = mu.tail
     u, v = z.real, z.imag
 
-    X = max(mu.window, abs(u) + 50.0 * v, 50.0)
+    W = X = max(mu.window, abs(u) + 50.0 * v, 50.0)
     if mu.tail_bound is not None:
         # push X out until the residual tail deviation is negligible
         while mu.tail_deviation(X) * 2.0 * v / (np.pi * X) > 1e-13 and X < 1e7:
@@ -154,7 +154,6 @@ def szego_K(mu, z):
     # call over the full (possibly huge) range lets the extrapolation
     # table settle on a wrong limit near kinks while reporting a tiny
     # error estimate; per-segment refinement does not.
-    W = min(X, max(mu.window, abs(u) + 50.0 * v, 50.0))
     pts = {p for p in mu.breakpoints if -X < p < X}
     pts.update((-W, W))
     # geometric sub-edges on the far tails keep each segment's dynamic

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from canonfactor import (DomainError, Hamiltonian, J, inverse_spectral,
-                         j_energy_residual, krein_wave, random_unimodular,
-                         reproducing_kernel, sinc_bump_weight,
-                         transfer_matrix, wave_amplitudes)
+from canonfactor import (DomainError, HalfLineFunction, Hamiltonian, J,
+                         constant_weight, f_mu_apply, inverse_spectral,
+                         isometry_residual, j_energy_residual, krein_wave,
+                         random_unimodular, reproducing_kernel,
+                         sinc_bump_weight, transfer_matrix, wave_amplitudes)
 from canonfactor import solver
 from canonfactor.solver import _restore, _sweep, sinch
 
@@ -313,6 +314,10 @@ _NAN_TIME_CALLS = {
     "Grid.cell_index": lambda ham: ham.grid.cell_index(np.nan),
     "Hamiltonian.at": lambda ham: ham.at(np.nan),
     "wave_amplitudes": lambda ham: wave_amplitudes(ham, 1.0, t_max=np.nan),
+    "HalfLineFunction at -5": lambda ham: HalfLineFunction.from_uniform(
+        [1.0, 2.0], tail=1.0)(-5.0),
+    "HalfLineFunction at NaN": lambda ham: HalfLineFunction.from_uniform(
+        [1.0, 2.0], tail=1.0)(np.nan),
 }
 
 
@@ -361,3 +366,63 @@ def test_j_energy_residual_takes_the_span_slack():
     assert j_energy_residual(ham, 6.0, 1 + 0.5j) < 1e-10
     with pytest.raises(DomainError, match="outside grid span"):
         j_energy_residual(ham, 6.0 + 1e-9, 1 + 0.5j)
+
+
+def _rounded_span_ham():
+    # the second draw ends at 5.999999999999999, below its nominal span 6
+    rng = np.random.default_rng(5)
+    random_unimodular(rng, 12, span=6.0)
+    return random_unimodular(rng, 12, span=6.0)
+
+
+def _f_on(r):
+    return HalfLineFunction.from_uniform([1.0, -0.5, 0.25], span=r)
+
+
+# every entry point taking a time t on the grid (or the wave time 2t), and
+# the argument its error names
+_SPAN_CALLS = {
+    "transfer_matrix": ("t", lambda ham, t: transfer_matrix(
+        ham, t, 1 + 0.5j).m),
+    "j_energy_residual": ("r", lambda ham, t: j_energy_residual(ham, t, 0.5j)),
+    "Grid.cell_index": ("t", lambda ham, t: ham.grid.cell_index(t)),
+    "Hamiltonian.at": ("t", lambda ham, t: ham.at(t)),
+    "wave_amplitudes": ("t_max", lambda ham, t: wave_amplitudes(
+        ham, 1.0, t_max=2 * t)[0]),
+    "krein_wave": ("t", lambda ham, t: krein_wave(ham, 2 * t, 1.0)),
+    "reproducing_kernel": ("r", lambda ham, t: reproducing_kernel(
+        ham, 2 * t, 1.0, 1 + 0.5j)),
+    "f_mu_apply": ("f span", lambda ham, t: f_mu_apply(
+        ham, _f_on(2 * t), 1.0)),
+    "isometry_residual": ("f span", lambda ham, t: isometry_residual(
+        ham, constant_weight(1.0), _f_on(2 * t), X=50.0)),
+}
+
+
+@pytest.mark.parametrize("call", list(_SPAN_CALLS))
+def test_one_time_axis_takes_the_span_slack(call):
+    # one rule everywhere: a time within 1e-12 relative of the span (a
+    # wave time of 2 span) is cut to it, and 1e-9 past it is refused
+    name, fn = _SPAN_CALLS[call]
+    ham = _rounded_span_ham()
+    assert ham.grid.span < 6.0
+    assert np.all(np.isfinite(fn(ham, 6.0)))
+    with pytest.raises(DomainError, match=f"^{name} = 6.000000001|"
+                                          f"^{name} = 12.000000002"):
+        fn(ham, 6.0 + 1e-9)
+
+
+def test_cell_index_is_elementwise():
+    g = _rounded_span_ham().grid
+    mids = 0.5 * (g.nodes[1:] + g.nodes[:-1])
+    ts = np.concatenate([g.nodes, mids, [6.0]])
+    ks = g.cell_index(ts)
+    assert ks.shape == ts.shape
+    assert ks.tolist() == [g.cell_index(t) for t in ts]
+    assert np.array_equal(g.cell_index(g.nodes[:-1]), np.arange(g.n_cells))
+    assert np.array_equal(g.cell_index(mids), np.arange(g.n_cells))
+    # the last cell is closed on the right, at the span and within slack
+    assert g.cell_index(g.span) == g.cell_index(6.0) == g.n_cells - 1
+    # an array message names the offending value, not the array
+    with pytest.raises(DomainError, match=r"^t = -1\.0 outside grid span"):
+        g.cell_index(np.array([0.0, -1.0, 2.0, np.nan]))

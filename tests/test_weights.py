@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from canonfactor import (DomainError, SpectralMeasure, ValidationError,
+from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
+                         SpectralMeasure, ValidationError, a2_ell1,
                          accelerant_from_weight, build_toeplitz,
                          constant_weight, cosine_bump_weight,
-                         factor_via_transform, inverse_spectral, read_weight,
-                         sampled_weight, sinc_bump_weight, step_weight,
-                         szego_K, truncate_weight, weight_by_name,
-                         write_weight)
+                         factor_via_transform, inverse_spectral,
+                         isometry_residual, read_weight, sampled_weight,
+                         sinc_bump_weight, step_weight, szego_K,
+                         truncate_weight, weight_by_name, write_weight)
 from canonfactor import accelerant, inverse
 
 
@@ -195,3 +196,38 @@ def test_numeric_kernel_refuses_a_tail_beyond_the_window():
                             tail_bound=lambda X: 0.0)
     k = accelerant_from_weight(tight, [0.0, 1.0])
     assert np.all(np.isfinite(k))
+
+
+_STEPS = HalfLineFunction.from_uniform([1.0, 2.0, 0.5], span=3.0, tail=1.0)
+
+# each once returned nan, a plausible weight (NaN parameters made c1 = c2
+# = 1 through the builtin min, so the weight read as constant) or an
+# untyped error
+_NONFINITE_CALLS = {
+    "sinc_bump_weight A": lambda: sinc_bump_weight(np.nan, 1.0),
+    "sinc_bump_weight B": lambda: sinc_bump_weight(0.5, np.nan),
+    "cosine_bump_weight A": lambda: cosine_bump_weight(np.nan, 1.0),
+    "cosine_bump_weight a": lambda: cosine_bump_weight(1.0, np.inf),
+    "step_weight": lambda: step_weight(2.0, np.nan),
+    "constant_weight": lambda: constant_weight(np.inf),
+    "truncate_weight nan": lambda: truncate_weight(
+        sinc_bump_weight(0.5, 1.0), np.nan),
+    "truncate_weight inf": lambda: truncate_weight(
+        sinc_bump_weight(0.5, 1.0), np.inf),
+    "szego_K": lambda: szego_K(step_weight(2.0, 1.0), complex(np.nan, 1.0)),
+    "a2_ell1 window nan": lambda: a2_ell1(_STEPS, window=np.nan),
+    "a2_ell1 window inf": lambda: a2_ell1(_STEPS, window=np.inf),
+    "a2_ell1 offset nan": lambda: a2_ell1(_STEPS, offset=np.nan),
+    "isometry_residual X": lambda: isometry_residual(
+        Hamiltonian.identity(2.0), constant_weight(1.0),
+        HalfLineFunction.from_uniform([1.0, -1.0], span=2.0), X=np.nan),
+    "HalfLineFunction tail": lambda: HalfLineFunction.from_uniform(
+        [1.0, 2.0], tail=np.nan),
+    "HalfLineFunction.integrate": lambda: _STEPS.integrate(np.nan, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", list(_NONFINITE_CALLS))
+def test_nonfinite_parameters_are_refused(call):
+    with pytest.raises(DomainError):
+        _NONFINITE_CALLS[call]()
