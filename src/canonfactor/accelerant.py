@@ -48,9 +48,6 @@ def _check_even(mu):
 
 def _numeric_kernel(mu, times):
     """(1/pi) int_0^X (w(x)-1) cos(xt) dx on GL panels resolving cos(x*t)."""
-    if mu.tail != 1.0:
-        raise DomainError(
-            "w - 1 is not integrable (tail != 1); apply truncate_weight")
     X = mu.window
     if mu.tail_deviation(X) * X > 1e-10:
         raise DomainError(
@@ -77,17 +74,16 @@ def _numeric_kernel(mu, times):
 
 
 def accelerant_from_weight(mu, t):
-    """k(t) at the given times: the weight's closed form when it has one,
-    zero for w = 1, and the numeric kernel otherwise."""
-    mu.require_numeric()
+    """k(t) at the given times: zero for w = 1; else, with tail 1 (the one
+    integrability check), the closed form or the numeric kernel."""
     t = np.abs(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(t)):
         raise ValidationError("accelerant times must be finite")
-    if mu.is_constant:
-        if mu.c1 != 1.0:
-            raise DomainError(
-                "w - 1 is not integrable for constant w != 1; truncate first")
+    if mu.is_constant and mu.c1 == 1.0:
         return np.zeros_like(t)
+    if mu.tail != 1.0:
+        raise DomainError(
+            "w - 1 is not integrable (tail != 1); apply truncate_weight")
     closed = mu.closed_form_accelerant()
     if closed is not None:
         return np.asarray(closed(t), dtype=float)

@@ -217,10 +217,14 @@ def _resolve_weight(spec):
         except argparse.ArgumentTypeError:
             raise ConfigError(f"weight parameter {item!r} is not a finite "
                               "number")
-    from .measures import weight_by_name
+    from .measures import WEIGHT_FAMILIES, weight_by_name
+    name = name.strip()
+    if name not in WEIGHT_FAMILIES:
+        raise ConfigError(f"unknown weight family {name!r}; know "
+                          f"{sorted(WEIGHT_FAMILIES)}")
     try:
-        return weight_by_name(name.strip(), **params)
-    except (KeyError, TypeError) as exc:
+        return weight_by_name(name, **params)
+    except TypeError as exc:
         raise ConfigError(f"unknown weight spec {spec!r}: {exc}")
 
 

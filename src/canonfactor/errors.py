@@ -14,7 +14,7 @@ class ValidationError(DomainError):
 
 
 class UnsupportedFeatureError(DomainError):
-    """Well-formed input hitting an unimplemented corner (e.g. singular parts)."""
+    """Well-formed input hitting an unimplemented corner (e.g. an odd weight)."""
 
 
 class SpectralPositivityError(DomainError):

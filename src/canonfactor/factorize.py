@@ -76,7 +76,6 @@ class DiscreteWienerHopf:
 
 def build_toeplitz(mu, n, h):
     """Discrete Wiener-Hopf matrix of the weight mu at step h, size n."""
-    mu.require_numeric()
     n = _check_span(h, n, "h")
     if mu.is_constant:
         c = mu.c1
@@ -87,11 +86,8 @@ def build_toeplitz(mu, n, h):
         lo, hi = map(float, _certified_extremes(col))
         W = _dense_toeplitz(col)
     if lo <= 0.0:
-        found = f"matrix not positive definite (min eigenvalue {lo:.3e})"
-        if mu.c1 > 0:
-            raise _positivity_lost(mu, found)
-        raise SpectralPositivityError(
-            f"{found}; the symbol must be bounded away from zero")
+        raise _positivity_lost(
+            mu, f"matrix not positive definite (min eigenvalue {lo:.3e})")
     return DiscreteWienerHopf(n, float(h), W, (mu.c1, mu.c2), lo, hi)
 
 

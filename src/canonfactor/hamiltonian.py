@@ -76,6 +76,12 @@ class Grid:
         t = np.minimum(t, end)
         return t if t.ndim else float(t)
 
+    def time(self, t, name="t", scale=1.0):
+        """One time t after ``clip``, a float; DomainError for an array."""
+        if np.ndim(t):
+            raise DomainError(f"{name} must be a single time, not an array")
+        return self.clip(t, name, scale)
+
     def cell_index(self, t):
         """Index of the cell holding each t (last cell closed on the
         right), after ``clip``."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accelerant import _toeplitz_column
-from .errors import DomainError, SpectralPositivityError, ValidationError
+from .errors import SpectralPositivityError, ValidationError
 from .hamiltonian import Grid, Hamiltonian
 
 _EIG_RTOL = 1e-10       # relative width of the certified eigenvalue brackets
@@ -262,8 +262,11 @@ def _check_span(length, n, name):
 
 
 def _positivity_lost(mu, found):
-    """The SpectralPositivityError for a section of mu, c1 > 0, that failed
-    its positivity test: rounding at high contrast c2/c1, or aliasing."""
+    """The SpectralPositivityError for a section of mu that failed its
+    positivity test: c1 = 0, or rounding at contrast c2/c1, or aliasing."""
+    if mu.c1 <= 0:
+        return SpectralPositivityError(
+            f"{found}; the symbol must be bounded away from zero")
     return SpectralPositivityError(
         f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
         f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (from ~1/eps = "
@@ -284,9 +287,6 @@ def _cell_waves(mu, R, N):
     the (1, 1) entry of the diagonal sqrt(H) on each cell, and 1/p its
     (2, 2) entry: det H = 1 is the normalization gauge.
     """
-    if mu.tail != 1.0:
-        raise DomainError(
-            "weight tail differs from 1; apply truncate_weight first")
     col = _toeplitz_column(mu, float(R) / N, 2 * N)
     y = np.empty(2 * N)
     positive, pe_floor, kmax = _levinson(col, y)

@@ -1,9 +1,5 @@
 """Spectral measures: absolutely continuous weights w(x) dx on the line.
 
-Only measures with empty singular part are supported by the numeric
-operations; the field exists so data carrying a singular component fails
-loudly instead of silently dropping it.
-
 The desk weights used throughout tests and demos are closed forms:
 
     constant     w = c
@@ -17,7 +13,7 @@ exactly when w - 1 is integrable.
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFeatureError, ValidationError
+from .errors import DomainError, ValidationError
 from .solver import sinch
 from .tables import read_table, write_table
 
@@ -30,29 +26,31 @@ class SpectralMeasure:
     density : callable
         Vectorized x -> w(x).
     c1, c2 : float
-        Essential bounds 0 < c1 <= w <= c2 (c1 = 0 allowed for degenerate
-        test weights; most operations require c1 > 0).
+        Essential bounds 0 <= c1 <= w <= c2 < inf (c1 = 0 allowed for
+        degenerate test weights; most operations require c1 > 0).
     tail : float or None
-        Limit value of w at +-infinity, None if not constant-tail.
+        Limit value of w at +-infinity, in [c1, c2]; None if not constant.
     window : float
-        Half width X such that |w(x) - tail| <= tail_bound(X) for |x| >= X.
+        Finite X >= 0 such that |w(x) - tail| <= tail_bound(X), |x| >= X.
     tail_bound : callable or None
         Decreasing bound on |w - tail| beyond the window; None means the
         deviation vanishes identically outside the window.
     """
 
     def __init__(self, density, c1, c2, tail=None, window=0.0,
-                 tail_bound=None, singular=None, label="custom",
-                 params=None, breakpoints=()):
-        if not (0 <= c1 <= c2):
-            raise ValidationError(f"need 0 <= c1 <= c2, got c1={c1}, c2={c2}")
+                 tail_bound=None, label="custom", params=None,
+                 breakpoints=()):
+        if not (0 <= c1 <= c2 < np.inf and 0 <= window < np.inf
+                and (tail is None or c1 <= tail <= c2)):
+            raise ValidationError(
+                f"need 0 <= c1 <= tail <= c2 < inf and 0 <= window < inf, "
+                f"got c1={c1}, c2={c2}, tail={tail}, window={window}")
         self._density = density
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.tail = None if tail is None else float(tail)
         self.window = float(window)
         self.tail_bound = tail_bound
-        self.singular = list(singular) if singular else []
         self.label = label
         self.params = dict(params or {})
         self.breakpoints = [float(b) for b in breakpoints]  # kinks of w
@@ -61,14 +59,7 @@ class SpectralMeasure:
     def __call__(self, x):
         return np.asarray(self._density(np.asarray(x, dtype=float)))
 
-    def require_numeric(self):
-        if self.singular:
-            raise UnsupportedFeatureError(
-                "measure carries a singular part; numeric operations "
-                "support purely absolutely continuous measures")
-
     def require_positive(self):
-        self.require_numeric()
         if self.c1 <= 0:
             raise DomainError("operation needs a density bounded away from 0")
 

@@ -188,10 +188,10 @@ class TransferMatrix:
 def transfer_matrix(ham, t, z):
     """M(t, z): the sweep cut at t, with its scale put back.
 
-    t must lie inside the grid.  z may be a scalar or an array.  Raises
+    t is one time inside the grid.  z may be a scalar or an array.  Raises
     DomainError where an entry of M(t, z) is beyond double range.
     """
-    t = ham.grid.clip(t)
+    t = ham.grid.time(t)
     z = np.asarray(z, dtype=complex)
     for _, state, scale in _sweep(ham, z.reshape(-1), 2, t):
         pass
@@ -209,7 +209,7 @@ def j_energy_residual(ham, r, z):
     propagator applied to Theta at the cell start.  r takes the same
     rounding slack as ``transfer_matrix``.  Returns |LHS - RHS|.
     """
-    r = ham.grid.clip(r, "r")
+    r = ham.grid.time(r, "r")
     z = np.array([complex(z)])
     _, states, scales = zip(*_sweep(ham, z, 1, r))
     theta = _restore(np.concatenate(states, axis=-1)[:, 0],   # (2, n + 1)

@@ -74,7 +74,7 @@ def _wave_cells(ham, t_max, name="t_max"):
     if not ham.unimodular:
         raise DomainError("waves need a unimodular Hamiltonian")
     t_max = 2.0 * ham.grid.span if t_max is None else t_max
-    t_max = ham.grid.clip(t_max, name, 2.0)
+    t_max = ham.grid.time(t_max, name, 2.0)
     return max(1, int(np.searchsorted(ham.grid.nodes[:-1], t_max / 2.0,
                                       side="left")))
 
@@ -120,7 +120,7 @@ def krein_wave(ham, t, z):
     """The complex wave value P_t(z) = alpha_c(z) e^{izt} read off
     ``wave_amplitudes``, c the cell holding t/2: right-continuous at the
     wave nodes, where sqrt(H) jumps, and the last cell at t = 2 * span."""
-    t = ham.grid.clip(t, "t", 2.0)
+    t = ham.grid.time(t, "t", 2.0)
     z = complex(z)
     c = ham.grid.cell_index(t / 2.0)
     alphas, _ = wave_amplitudes(ham, z, t_max=2.0 * ham.grid.nodes[c + 1])
@@ -132,7 +132,7 @@ def reproducing_kernel(ham, r, z, lam):
     lam)> / (pi (z - conj lam)), with the removable singularity at
     z = conj(lam) filled by a Richardson central difference.
     """
-    r = ham.grid.clip(r, "r", 2.0)
+    r = ham.grid.time(r, "r", 2.0)
     if r == 0.0:
         raise DomainError("r must be positive")
     z, lam = complex(z), complex(lam)
@@ -161,7 +161,8 @@ def f_mu_apply(ham, f, z_grid):
     f is a HalfLineFunction supported on its grid [0, r] in wave time
     (tail must be absent or zero); the integral is exact per refined cell: on a
     segment [u, v] of wave cell c it is beta_c e^{iz(mid - a_c)} (v - u)
-    sinc(z (v - u)/2), mid = (u + v)/2, with a real sinc for real z.
+    sinc(z (v - u)/2), mid = (u + v)/2, with a real sinc for real z.  The
+    result is shaped like z_grid (a Python complex for a scalar z).
 
     For real z a whole wave cell [2 a_c, 2 b_c] has phase e^{iz b_c} and
     sinc factor 2 w_c sinch(z w_c), w_c = b_c - a_c: the phase is carried
@@ -174,9 +175,8 @@ def f_mu_apply(ham, f, z_grid):
         raise DomainError("f must be supported inside its grid")
     r = f.grid.span
     z = np.asarray(z_grid)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    z = z.astype(np.result_type(z, np.float64), copy=False)
+    shape = z.shape
+    z = z.reshape(-1).astype(np.result_type(z, np.float64), copy=False)
     k_use = _wave_cells(ham, r, "f span")
     wave_nodes = 2.0 * ham.grid.nodes[:k_use + 1]
     edges = np.unique(np.concatenate([
@@ -214,7 +214,7 @@ def f_mu_apply(ham, f, z_grid):
     if not np.all(np.isfinite(out)):
         raise DomainError("wave transform overflows; reduce Im z or span")
     out /= np.sqrt(2.0 * np.pi)
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if not shape else out.reshape(shape)
 
 
 def _plancherel_tail(f, X, w_tail):

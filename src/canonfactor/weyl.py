@@ -132,16 +132,13 @@ def szego_K(mu, z):
     run (``quadrature.gauss_kronrod``): each round evaluates the density
     once on the 21 nodes of every live interval of every segment.
     """
-    mu.require_numeric()
-    if mu.c1 < 0:
-        raise DomainError("szego_K needs a nonnegative density")
     z = complex(z)
     if not (np.isfinite(z.real) and 0 < z.imag < np.inf):
         raise DomainError(f"szego_K needs a finite z with Im z > 0, got {z}")
     if mu.is_constant:
         return 0.0
-    if mu.tail is None:
-        raise DomainError("szego_K needs a constant-tail weight")
+    if mu.tail is None or mu.tail == 0:
+        raise DomainError("szego_K needs a constant tail > 0")
     tail = mu.tail
     u, v = z.real, z.imag
 

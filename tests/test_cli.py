@@ -176,6 +176,16 @@ def test_exit_code_2_config_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_exit_code_2_unknown_weight_family():
+    # an unknown family is a configuration problem, as an unknown
+    # parameter is, and the message lists the known families
+    proc = run_cli("szego", "--weight", "nope:c=1")
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "kind=config" in lines[0]
+    assert "'nope'" in lines[0] and "'sinc-bump'" in lines[0]
+
+
 def test_exit_code_2_missing_file():
     proc = run_cli("weyl", "--hamiltonian", "/nonexistent/h.txt", "--z", "1j")
     assert proc.returncode == 2

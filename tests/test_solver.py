@@ -412,6 +412,17 @@ def test_one_time_axis_takes_the_span_slack(call):
         fn(ham, 6.0 + 1e-9)
 
 
+@pytest.mark.parametrize("call", ["transfer_matrix", "j_energy_residual",
+                                  "wave_amplitudes", "krein_wave",
+                                  "reproducing_kernel"])
+def test_single_time_entry_points_refuse_an_array(call):
+    # these take one time (Grid.clip is elementwise); an array once ran
+    # into an untyped TypeError or "truth value of an array" ValueError
+    name, fn = _SPAN_CALLS[call]
+    with pytest.raises(DomainError, match=f"^{name} must be a single time"):
+        fn(_rounded_span_ham(), np.array([1.0, 2.0]))
+
+
 def test_cell_index_is_elementwise():
     g = _rounded_span_ham().grid
     mids = 0.5 * (g.nodes[1:] + g.nodes[:-1])

@@ -237,6 +237,19 @@ def test_f_mu_apply_matches_amplitude_integrals(name):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.3j], ids=["real", "complex"])
+def test_f_mu_apply_keeps_the_shape_of_z(shift):
+    # a 2-D z is the flat call reshaped; a scalar z gives a Python complex
+    ham = _FOLD_HAMILTONIANS["random_unimodular"]()
+    f = HalfLineFunction.from_uniform([1.0, -0.5, 0.25], span=6.0)
+    z = (np.linspace(-5.0, 5.0, 12) + shift).reshape(3, 4)
+    got = f_mu_apply(ham, f, z)
+    assert np.array_equal(got, f_mu_apply(ham, f, z.ravel()).reshape(3, 4))
+    one = f_mu_apply(ham, f, z[1, 2])
+    assert type(one) is complex
+    assert abs(one - got[1, 2]) <= 1e-14 * abs(got[1, 2])
+
+
 _LONG_HAMILTONIANS = {
     "inverse_spectral": lambda: inverse_spectral(
         sinc_bump_weight(0.5, 1.0), 20.0, 2048),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
-                         SpectralMeasure, ValidationError, a2_ell1,
+                         SpectralMeasure, UnsupportedFeatureError,
+                         ValidationError, a2_ell1,
                          accelerant_from_weight, build_toeplitz,
                          constant_weight, cosine_bump_weight,
                          factor_via_transform, inverse_spectral,
@@ -45,6 +46,69 @@ def test_equal_samples_take_the_constant_path(c, keep_tail):
 
 def test_zero_bounds_are_not_constant():
     assert not SpectralMeasure(np.zeros_like, 0.0, 0.0).is_constant
+
+
+def _one(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _odd_weight():
+    # 1 + 1/2 on (0, 1] only: bounded, tail 1, and not even
+    return SpectralMeasure(
+        lambda x: np.where((0 < x) & (x <= 1), 1.5, 1.0), 1.0, 1.5,
+        tail=1.0, window=1.0)
+
+
+# weights whose w - 1 is not integrable; the constant one takes the closed
+# form w = c everywhere but in the accelerant itself
+_TAIL_NOT_ONE = {
+    "constant 2": constant_weight(2.0),
+    "step outer 3": step_weight(2.0, 1.0, outer=3.0),
+    "sampled tail 2": sampled_weight([-1.0, 1.0], [1.0, 3.0], tail=2.0),
+}
+_KERNEL_CALLS = {
+    "accelerant_from_weight": lambda mu: accelerant_from_weight(
+        mu, [0.0, 1.0]),
+    "build_toeplitz": lambda mu: build_toeplitz(mu, 4, 0.5),
+    "inverse_spectral": lambda mu: inverse_spectral(mu, 4.0, 8),
+    "factor_via_transform": lambda mu: factor_via_transform(mu, 4.0, 8),
+}
+
+# keyword arguments that break SpectralMeasure(_one, c1=1, c2=2, ...)
+_BAD_BOUNDS = {
+    "tail nan": {"tail": np.nan, "window": 1.0},
+    "tail inf": {"tail": np.inf},
+    "tail above c2": {"tail": 3.0},
+    "tail below c1": {"tail": 0.5},
+    "window nan": {"window": np.nan},
+    "window inf": {"window": np.inf},
+    "window negative": {"window": -1.0},
+    "c2 inf": {"c2": np.inf},
+}
+
+# the symbol's contract, one check per rule: SpectralMeasure checks the
+# bounds at construction (a NaN tail once reached szego_K as nan),
+# accelerant_from_weight the integrability of w - 1, _check_even evenness
+_CONTRACT = {
+    **{f"SpectralMeasure {k}": (ValidationError, None,
+                                lambda kw=kw: SpectralMeasure(
+                                    _one, **{"c1": 1.0, "c2": 2.0, **kw}))
+       for k, kw in _BAD_BOUNDS.items()},
+    **{f"{call} {weight}": (DomainError, "truncate_weight",
+                            lambda c=call, w=weight: _KERNEL_CALLS[c](
+                                _TAIL_NOT_ONE[w]))
+       for call in _KERNEL_CALLS for weight in _TAIL_NOT_ONE
+       if call == "accelerant_from_weight" or weight != "constant 2"},
+    "odd weight": (UnsupportedFeatureError, "even",
+                   lambda: accelerant_from_weight(_odd_weight(), [0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONTRACT))
+def test_the_symbol_contract(case):
+    error, match, call = _CONTRACT[case]
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_weight_by_name_dispatch():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from canonfactor import (ConvergenceError, DomainError, Grid, Hamiltonian,
-                         SpectralMeasure, boundary_values, constant_weight,
+                         boundary_values, constant_weight,
                          cosine_bump_weight, random_unimodular,
                          sampled_weight, sinc_bump_weight, spectral_density,
                          step_weight, szego_K, weyl_function, weyl_sweep)
@@ -298,11 +298,11 @@ def test_szego_rejects_bad_inputs():
         szego_K(sampled_weight([-1.0, 1.0], [1.0, 2.0], tail=None), 1j)
 
 
-def test_szego_rejects_singular_part():
-    from canonfactor import UnsupportedFeatureError
-    mu = SpectralMeasure(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         1.0, 1.0, tail=1.0, singular=[(0.0, 1.0)])
-    with pytest.raises(UnsupportedFeatureError):
+def test_szego_refuses_a_zero_tail():
+    # the contract allows tail = c1 = 0, but log w / tail is then
+    # undefined; this once returned nan
+    mu = sampled_weight([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], tail=0.0)
+    with pytest.raises(DomainError, match="tail > 0"):
         szego_K(mu, 1j)
 
 
