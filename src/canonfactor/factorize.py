@@ -134,7 +134,8 @@ class FactorReport:
     factor too far from W to certify anything.  ``leakage`` is the
     below-diagonal mass of A before it was zeroed, relative to ||A||_F.
     ``pe_floor`` and ``max_reflection`` are the health figures of the wave
-    pass the factor reads, as in ``InversionReport``.
+    pass the factor reads, prod (1 - k^2) and max |k| of its reflection
+    coefficients k, as in ``InversionReport``.
     """
 
     n: int

@@ -9,7 +9,10 @@ wave family.  Row j of L^{-1} is the j-th backward predictor of the
 Levinson-Durbin recursion scaled by 1/sqrt(P_j), P_j its prediction
 error, so the recursion evaluates the orthonormalized waves at x = 0,
 y = L^{-1} 1, from the first column of W alone: O(M^2) time and O(M)
-memory for M wave samples, and no matrix is ever formed.  The wave value
+memory for M wave samples, and no matrix is ever formed.  Its
+reflection coefficients k_i give all of it: the j-th predictor sums to
+prod_{i<=j} (1 + k_i) and P_j = P_0 prod_{i<=j} (1 - k_i^2), so
+y_j = exp(sum_{i<=j} atanh k_i) / sqrt(P_0) > 0.  The wave value
 at time 2t determines the first column of sqrt(H) at time t; the second
 column follows from symmetry and det = 1.
 
@@ -43,9 +46,10 @@ class InversionReport:
     """Diagnostics attached to an inverse_spectral run.
 
     min_eig/max_eig are certified bounds on the extreme eigenvalues of
-    the Toeplitz section; pe_floor = min_j P_j / P_0 and max_reflection
-    = max_j |k_j| are the Levinson recursion's health figures (positivity
-    is lost as pe_floor -> 0, equivalently max_reflection -> 1).
+    the Toeplitz section; pe_floor = min_j P_j / P_0 = prod (1 - k^2)
+    (P_j decreases) and max_reflection = max |k| are the health figures
+    of the Levinson recursion's reflection coefficients k (positivity is
+    lost as pe_floor -> 0, equivalently max_reflection -> 1).
     """
 
     n_cells: int
@@ -63,51 +67,34 @@ class InversionReport:
         self.ill_conditioned = self.cond > 1e12
 
 
-def _levinson(col, y=None, a=None):
+def _levinson(col):
     """Levinson-Durbin recursion on the symmetric Toeplitz column col.
 
-    Returns (positive, pe_floor, max_reflection) with pe_floor =
-    min_j P_j / P_0 and max_reflection = max_j |k_j|.  The recursion stops
-    at the first prediction error P_j <= 0 or reflection coefficient
-    |k_j| >= 1, where positive is False: the matrix is positive definite
-    iff it runs to the end.  Given y, it fills y[j] = (sum of the j-th
-    backward predictor) / sqrt(P_j), i.e. y = L^{-1} 1 for the Cholesky
-    factor L.  Given a (length M), the recursion runs in it, and a
-    positive pass leaves there the forward predictor: toeplitz(col) a =
-    P e_0 with a[0] = 1 and P = a @ col.
+    Returns (k, a): the reflection coefficients (k[0] = 0, k[j] that of
+    step j), which fix the triangular factor (module docstring), and the
+    forward predictor, toeplitz(col) a = P e_0 with a[0] = 1, P = a @ col.
+    None at the first P_j = P_{j-1} (1 - k_j^2) <= 0 or |k_j| >= 1: the
+    matrix is positive definite iff the recursion runs to the end.
     """
     M = len(col)
-    p0 = float(col[0])
-    if not p0 > 0.0:
-        return False, 0.0, 1.0
+    p = float(col[0])
+    if not p > 0.0:
+        return None
     # the backward predictor of a symmetric Toeplitz matrix is the forward
     # predictor a reversed, and the dot against col[j:0:-1] is the dot of
     # a[:j] against a forward slice of the reversed column
     rcol = col[::-1].copy()
-    a = np.empty(M) if a is None else a
-    a[:] = 0.0
+    a = np.zeros(M)
     a[0] = 1.0
-    p = pmin = p0
-    kmax = 0.0
-    if y is not None:
-        y[0] = 1.0 / np.sqrt(p)
+    k = np.zeros(M)
     for j in range(1, M):
-        k = -float(a[:j] @ rcol[M - 1 - j:M - 1]) / p
-        a[1:j + 1] += k * a[j - 1::-1]
-        if y is None:
-            p *= (1.0 - k) * (1.0 + k)
-        else:
-            # P_j from its definition (W_j a_j = P_j e_0): the product
-            # P_{j-1} (1 - k_j^2) drifts to ~3e-14 relative in y at 4096
-            # steps, the dot stays at ~1e-15
-            p = float(a[:j + 1] @ col[:j + 1])
-        if not (abs(k) < 1.0 and p > 0.0):
-            return False, 0.0, 1.0
-        pmin = min(pmin, p)
-        kmax = max(kmax, abs(k))
-        if y is not None:
-            y[j] = a[:j + 1].sum() / np.sqrt(p)
-    return True, pmin / p0, kmax
+        kj = -float(a[:j] @ rcol[M - 1 - j:M - 1]) / p
+        a[1:j + 1] += kj * a[j - 1::-1]
+        p *= (1.0 - kj) * (1.0 + kj)
+        if not (abs(kj) < 1.0 and p > 0.0):
+            return None
+        k[j] = kj
+    return k, a
 
 
 def _fft_len(M):
@@ -198,10 +185,9 @@ def _certified_min(col, theta, res):
         """The inverse matvec of W - sigma I, None if not definite."""
         shifted = col.copy()
         shifted[0] -= sigma
-        a = np.empty(M)
-        if not _levinson(shifted, a=a)[0]:
+        if (out := _levinson(shifted)) is None:
             return None
-        return _inverse_matvec(a, a @ shifted)
+        return _inverse_matvec(out[1], out[1] @ shifted)
 
     hi = theta
     # the floor keeps the downward search moving from theta = res = 0
@@ -269,8 +255,9 @@ def _positivity_lost(mu, found):
             f"{found}; the symbol must be bounded away from zero")
     return SpectralPositivityError(
         f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
-        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (from ~1/eps = "
-        "4.5e15 on) or a step that aliases the weight")
+        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (a step weight "
+        "passes up to ~1e12 and fails from ~2e16 on, in between depending "
+        "on the size) or a step that aliases the weight")
 
 
 def _cell_waves(mu, R, N):
@@ -278,7 +265,8 @@ def _cell_waves(mu, R, N):
     column of their Levinson pass and its health figures (pe_floor,
     max_reflection).
 
-    The wave grid t_j = j eta, eta = R/N, holds 2N samples y = L^{-1} 1.
+    The wave grid t_j = j eta, eta = R/N, holds 2N samples y = L^{-1} 1,
+    read with the health figures off the pass's reflection coefficients.
     H cell i covers [i, i+1] R/N, i.e. wave times [2i, 2i+2] eta.  The
     discrete orthogonal system lags the continuous wave by half a step
     (y_j sits at t_j + eta/2), so the mean of the two samples inside a
@@ -288,17 +276,13 @@ def _cell_waves(mu, R, N):
     (2, 2) entry: det H = 1 is the normalization gauge.
     """
     col = _toeplitz_column(mu, float(R) / N, 2 * N)
-    y = np.empty(2 * N)
-    positive, pe_floor, kmax = _levinson(col, y)
-    if not positive:
+    if (out := _levinson(col)) is None:
         raise _positivity_lost(
             mu, "discretized Wiener-Hopf matrix is not positive definite")
+    k = out[0]
+    y = np.exp(np.cumsum(np.arctanh(k))) / np.sqrt(col[0])
     p = 0.5 * (y[0::2] + y[1::2])
-    if np.any(p <= 0):
-        raise SpectralPositivityError(
-            "recovered wave has a nonpositive diagonal entry; the weight "
-            "data is inconsistent with a positive definite kernel")
-    return p, col, pe_floor, kmax
+    return p, col, float(np.prod(1.0 - k * k)), float(np.max(np.abs(k)))
 
 
 def inverse_spectral(mu, R, N, report=False):

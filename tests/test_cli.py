@@ -155,6 +155,14 @@ def test_verify_subset(tmp_path):
     assert "[PASS]  9" in proc.stdout
 
 
+def test_python_m_canonfactor_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "canonfactor", "verify",
+                           "--only", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "passed 1/1" in proc.stdout
+
+
 def test_deterministic_output(tmp_path):
     a = run_cli("szego", "--weight", "cosine-bump:amplitude=1,half_width=1",
                 "--y", "0.5,1,2,4")

@@ -418,20 +418,20 @@ def test_factor_report_reuses_the_wave_pass(monkeypatch):
     # wave values the factor reads
     mu = step_weight(2.0, 1.0)
     _, col, _, _ = inverse._cell_waves(mu, _R / 2.0, 64)
-    _, plain_floor, plain_kmax = inverse._levinson(col)
+    k = inverse._levinson(col)[0]
     calls = []
     levinson = inverse._levinson
 
-    def counted(c, y=None, **kw):
-        calls.append((c.copy(), y is not None))
-        return levinson(c, y, **kw)
+    def counted(c):
+        calls.append(c.copy())
+        return levinson(c)
 
     monkeypatch.setattr(inverse, "_levinson", counted)
     _, rep = factor_via_transform(mu, _R, 64)
-    assert len(calls) == 1 and calls[0][1]
-    assert np.array_equal(calls[0][0], col)
-    assert abs(rep.pe_floor - plain_floor) <= 1e-12
-    assert abs(rep.max_reflection - plain_kmax) <= 1e-12
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], col)
+    assert abs(rep.pe_floor - np.prod(1.0 - k * k)) <= 1e-12
+    assert abs(rep.max_reflection - np.max(np.abs(k))) <= 1e-12
     assert 0.0 < rep.pe_floor < 1.0 and 0.0 < rep.max_reflection < 1.0
     text = str(rep).splitlines()
     assert text[-2:] == [f"pe_floor={rep.pe_floor:.6e}",
@@ -443,21 +443,20 @@ def test_factor_report_reuses_the_wave_pass(monkeypatch):
 @pytest.mark.parametrize("c", [1e16, 1e100])
 def test_high_contrast_names_the_contrast(c):
     # c1 = 1: the section is positive definite in exact arithmetic, and
-    # rounding loses it from c2/c1 ~ 1/eps on; the error names the
-    # contrast instead of a weight that would touch zero
+    # rounding loses it at high contrast (a step passes up to c2/c1 ~
+    # 1e12 and fails from ~2e16 on, in between depending on the size;
+    # 1e16 is past 1/eps, where no double-precision pass can tell); the
+    # error names the contrast instead of a weight that would touch zero
     mu = step_weight(c, 1.0)
     calls = [lambda: inverse_spectral(mu, 12.8, 32),
-             lambda: build_toeplitz(mu, 32, 0.4)]
-    if c > 1e16:    # at 1e16 the factor's own pass still runs through
-        calls.append(lambda: factor_via_transform(mu, 12.8, 32))
+             lambda: build_toeplitz(mu, 32, 0.4),
+             lambda: factor_via_transform(mu, 12.8, 32)]
     for call in calls:
         with pytest.raises(SpectralPositivityError) as err:
             call()
         message = str(err.value)
         assert f"c2/c1 = {c:.3g}" in message and "double precision" in message
         assert "bounded away from zero" not in message
-    if c == 1e16:
-        factor_via_transform(mu, 12.8, 32)
     # c1 = 0 keeps its diagnosis
     with pytest.raises(SpectralPositivityError,
                        match="symbol must be bounded away from zero"):

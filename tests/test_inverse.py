@@ -90,13 +90,13 @@ def test_report_reuses_the_wave_pass(bump_mu, monkeypatch):
     # pe_floor and max_reflection come off the one Levinson pass that
     # computes the wave; every other pass certifies a shifted column
     _, col, _, _ = inverse._cell_waves(bump_mu, 10.0, 64)
-    _, plain_floor, plain_kmax = inverse._levinson(col)
+    k = inverse._levinson(col)[0]
     calls = []
     levinson = inverse._levinson
 
-    def counted(c, y=None, **kw):
-        calls.append((c.copy(), y is not None))
-        return levinson(c, y, **kw)
+    def counted(c):
+        calls.append(c.copy())
+        return levinson(c)
 
     monkeypatch.setattr(inverse, "_levinson", counted)
     inverse._certified_extremes(col)
@@ -104,11 +104,9 @@ def test_report_reuses_the_wave_pass(bump_mu, monkeypatch):
     calls.clear()
     _, rep = inverse_spectral(bump_mu, 10.0, 64, report=True)
     assert len(calls) == 1 + certify
-    waves = [c for c, wave in calls if wave]
-    assert len(waves) == 1 and np.array_equal(waves[0], col)
-    assert not any(np.array_equal(c, col) for c, wave in calls if not wave)
-    assert abs(rep.pe_floor - plain_floor) <= 1e-12
-    assert abs(rep.max_reflection - plain_kmax) <= 1e-12
+    assert sum(np.array_equal(c, col) for c in calls) == 1
+    assert abs(rep.pe_floor - np.prod(1.0 - k * k)) <= 1e-12
+    assert abs(rep.max_reflection - np.max(np.abs(k))) <= 1e-12
 
 
 def test_constant_weight_report_health():
@@ -124,12 +122,42 @@ def test_levinson_matches_cholesky(mu, n, span):
     assert np.array_equal(col, ref_col)
     ref = solve_triangular(cholesky(W, lower=True), np.ones(2 * n),
                            lower=True)
-    y = np.empty(2 * n)
-    inverse._levinson(col, y)
+    # y_j = prod_{i<=j} sqrt((1 + k_i) / (1 - k_i)) / sqrt(P_0)
+    k = inverse._levinson(col)[0]
+    y = np.exp(np.cumsum(np.arctanh(k))) / np.sqrt(col[0])
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
     # each cell's wave value is the mean of its two samples of L^{-1} 1
     ref = 0.5 * (ref[0::2] + ref[1::2])
     assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("c", [1e2, 1e3])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_wave_values_at_high_reflection(c, n):
+    # max |k| reaches 0.16-0.80 here, where the product form of P_j has
+    # the most to lose against the dense solve
+    mu = step_weight(c, 1.0)
+    p, col, pe_floor, kmax = inverse._cell_waves(mu, 6.4, n)
+    ref = solve_triangular(cholesky(toeplitz(col), lower=True),
+                           np.ones(2 * n), lower=True)
+    ref = 0.5 * (ref[0::2] + ref[1::2])
+    assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
+    k = inverse._levinson(col)[0]
+    assert kmax > 0.1
+    assert pe_floor == np.prod(1.0 - k * k)
+    assert kmax == np.max(np.abs(k))
+
+
+def test_levinson_is_the_positivity_test():
+    # the pass runs through just below lambda_min and stops just above
+    _, col, _, _ = inverse._cell_waves(step_weight(2.0, 1.0), 6.4, 32)
+    lam = np.linalg.eigvalsh(toeplitz(col))[0]
+    delta = 1e-6 * lam
+    below, above = col.copy(), col.copy()
+    below[0] -= lam - delta
+    above[0] -= lam + delta
+    assert inverse._levinson(below) is not None
+    assert inverse._levinson(above) is None
 
 
 @given(mu=weights, n=st.integers(2, 256), span=st.floats(2.0, 20.0))
@@ -216,8 +244,9 @@ def test_gohberg_semencul_inverse_matches_solve(M):
         g = rng.standard_normal(M)
         col = np.correlate(g, g, "full")[M - 1:] / M
         col[0] += 0.5
-        a = np.empty(M)
-        assert inverse._levinson(col, a=a)[0]
+        out = inverse._levinson(col)
+        assert out is not None
+        a = out[1]
         apply = inverse._inverse_matvec(a, a @ col)
         v = rng.standard_normal(M)
         ref = np.linalg.solve(toeplitz(col), v)
@@ -305,9 +334,9 @@ def test_certificate_survives_a_bad_ritz_pair(monkeypatch, fault):
         events.append("ritz")
         return low, (t, r, x)
 
-    def passes(c, y=None, a=None):
-        out = levinson(c, y, a=a)
-        events.append((col[0] - c[0], out[0]))
+    def passes(c):
+        out = levinson(c)
+        events.append((col[0] - c[0], out is not None))
         return out
 
     monkeypatch.setattr(inverse, "_lanczos_extremes", faulty)
