@@ -1,14 +1,13 @@
 """
-Weights: entropy functionals, accelerants, and A2 characteristics
-=================================================================
+Weights: entropy functionals, the discrete symbol, and A2 characteristics
+=========================================================================
 """
 
 import numpy as np
 
-from canonfactor import (HalfLineFunction, SpectralMeasure, a2_classical,
-                         a2_ell1, accelerant_from_weight, decompose_L1_L2,
-                         lemma2_harness, norm_L1, norm_L2, step_weight,
-                         szego_K)
+from canonfactor import (HalfLineFunction, a2_classical, a2_ell1,
+                         build_toeplitz, decompose_L1_L2, lemma2_harness,
+                         norm_L1, norm_L2, step_weight, szego_K)
 
 # K(mu, z) is the gap in Jensen's inequality between the Poisson mean of
 # w and the exponential of the Poisson mean of log w.  For the 2-on-[-1,1]
@@ -22,15 +21,15 @@ q = (2.0 / np.pi) * np.arctan(0.5)
 print(f"K(step, 2i) = {szego_K(mu, 2j):.12f}")
 print(f"closed form = {np.log(1.0 + q) - q * np.log(2.0):.12f}")
 
-# the accelerant of the step is a scaled sinc; the same step given only
-# by its density has no stored closed form, so its k is the numeric
-# kernel, evaluated at exactly the times asked for
-plain = SpectralMeasure(mu, mu.c1, mu.c2, tail=1.0, window=1.0,
-                        breakpoints=mu.breakpoints)
-ts = np.linspace(0.5, 4.0, 8)
-print("\nnumeric accelerant of the step vs sin(t)/(pi t):")
-print(np.max(np.abs(accelerant_from_weight(plain, ts)
-                    - np.sin(ts) / (np.pi * ts))))
+# the discrete symbol at step h is the Gram matrix of the sampled
+# exponentials in L2(w dx) on the Nyquist window |x| <= pi/h; for a step
+# of height c on [-a, a] inside that window its column is exactly
+# delta_m + (c - 1)(a h/pi) sinch(a h m), here c = 2 and a = 1
+h, m = 0.25, np.arange(16)
+col = build_toeplitz(mu, m.size, h).matrix[:, 0]
+ref = (m == 0) + (h / np.pi) * np.sinc(h * m / np.pi)
+print(f"\nToeplitz column of the step vs its windowed sinc: "
+      f"{np.max(np.abs(col - ref)):.1e}")
 
 # half-line functions: split into an L1 part and an L2 part achieving
 # the infimal sum of norms

@@ -46,9 +46,8 @@ _EXPORTS = {
     "WEIGHT_FAMILIES": ".measures",
     "read_weight": ".measures",
     "write_weight": ".measures",
-    # accelerants
+    # the discrete symbol
     "truncate_weight": ".accelerant",
-    "accelerant_from_weight": ".accelerant",
     # inverse spectral problem
     "InversionReport": ".inverse",
     "inverse_spectral": ".inverse",

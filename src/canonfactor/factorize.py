@@ -1,23 +1,22 @@
 """Triangular factorization of truncated Wiener-Hopf matrices.
 
 The discrete model of the operator with symbol w on a window of length
-R is the N x N Toeplitz matrix
+R is the N x N Toeplitz matrix, h = R / N,
 
-    W[j, l] = delta_{jl} + h k((j - l) h),    h = R / N,
+    W[j, l] = (h/2pi) int_{-pi/h}^{pi/h} w(x) e^{ix(j - l)h} dx,
 
-with k the kernel of w (Fourier transform of w - 1).  W is the Gram
-matrix of the sampled exponentials e_j = sqrt(h/2pi) e^{i x t_j},
-t_j = j h, in L2(w dx) over the Nyquist window |x| <= pi/h, up to
-aliasing.  The upper factor is assembled by pairing the exponentials
-against the waves of the Hamiltonian recovered from w, read straight
-off the wave values of the inverse map's Levinson pass, and is compared
-against a direct Cholesky oracle.  The factor forms the dense
-W from the Toeplitz column of ``accelerant`` for the oracle and the
-residual alone.  Its report makes one eigensolve, of A^T A for the exact
-cond(A); the residual and the distance to the oracle are certified upper
-bounds on their 2-norms from O(n^2) 1- and inf-norms.  ``build_toeplitz``
-adds the certified extremes of W, from the O(n^2) brackets of the
-inverse layer.
+the Gram matrix of the sampled exponentials e_j = sqrt(h/2pi) e^{i x t_j},
+t_j = j h, in L2(w dx) over the Nyquist window |x| <= pi/h (the column
+of ``accelerant``).  The upper factor is assembled by pairing the
+exponentials against the waves of the Hamiltonian recovered from w, read
+straight off the wave values of the inverse map's Levinson pass, and is
+compared against a direct Cholesky oracle.  The pairing and W read the
+same windowed moments of w; the factor forms the dense W for the oracle
+and the residual alone.  Its report makes one eigensolve, of A^T A for
+the exact cond(A); the residual and the distance to the oracle are
+certified upper bounds on their 2-norms from O(n^2) 1- and inf-norms.
+``build_toeplitz`` adds the certified extremes of W, from the O(n^2)
+brackets of the inverse layer.
 
 The pairing needs no sweep.  Row i pairs conj(alpha_i) = conj(q_i
 Theta(a_i, x)) e^{ix a_i}, a_i = i h/2, against e^{ixhj} on quadrature
@@ -29,22 +28,19 @@ propagator cos(xh/2) I - sin(xh/2) J C_c shifts k by one, and
     U_0(k) = (mu(k), 0),    mu(k) = sum_x c(x) e^{ixhk/2},
     U_{c+1}(k) = (U_c(k+1) + U_c(k-1))/2 - J C_c (U_c(k+1) - U_c(k-1))/(2i).
 
-The moments of w are one FFT over the quadrature panels, and each cell
-is two 2x2 products on O(n) lags: A takes O(n^2) time and memory.
+The moments of w (``accelerant._moments``) are one FFT over the
+quadrature panels, and each cell is two 2x2 products on O(n) lags: A
+takes O(n^2) time and memory.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accelerant import _toeplitz_column
+from .accelerant import _moments, _toeplitz_column
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .inverse import (_cell_waves, _certified_extremes, _check_span,
-                      _positivity_lost)
-from .quadrature import gauss_legendre
+from .inverse import _cell_waves, _certified_section, _check_span
 from .tables import read_table, write_table
-
-_ORDER = 16             # Gauss-Legendre nodes per panel of the pairing
 
 
 def _dense_toeplitz(col):
@@ -83,11 +79,8 @@ def build_toeplitz(mu, n, h):
         lo = hi = c
     else:
         col = _toeplitz_column(mu, h, n)
-        lo, hi = map(float, _certified_extremes(col))
+        lo, hi = _certified_section(mu, col)
         W = _dense_toeplitz(col)
-    if lo <= 0.0:
-        raise _positivity_lost(
-            mu, f"matrix not positive definite (min eigenvalue {lo:.3e})")
     return DiscreteWienerHopf(n, float(h), W, (mu.c1, mu.c2), lo, hi)
 
 
@@ -165,39 +158,13 @@ class FactorReport:
         return "\n".join(lines)
 
 
-def _moments(mu, h, n):
-    """mu(k) = sum_x c(x) e^{ixhk/2}, k = -2n..2n, over the quadrature:
-    order-16 Gauss-Legendre on P = max(n, 4) panels of [0, pi/h], c = w *
-    weight * h/pi.  Uncut panels, x = (p + u_q) pi/(P h), are one
-    length-4P FFT over p and a 16-term twiddle sum; a panel that a
-    breakpoint of w cuts is split there and summed directly."""
-    X = np.pi / h
-    P = max(n, 4)
-    edges = np.linspace(0.0, X, P + 1)
-    fine = np.unique(np.concatenate([
-        edges, [b for b in mu.breakpoints if 0.0 < b < X]]))
-    panel = np.searchsorted(edges, fine[:-1], side="right") - 1
-    cut = np.bincount(panel, minlength=P) > 1
-    x_u, wq_u = gauss_legendre(_ORDER, edges[:-1], edges[1:])   # (P, 16)
-    x_c, wq_c = gauss_legendre(_ORDER, fine[:-1][cut[panel]],
-                               fine[1:][cut[panel]])
-    c_u = np.where(cut[:, None], 0.0, wq_u) * mu(x_u)
-    k = np.arange(2 * n + 1)
-    u, _ = gauss_legendre(_ORDER, 0.0, 1.0)
-    G = np.fft.rfft(c_u, 4 * P, axis=0)[:k.size].conj()
-    m = np.einsum("kq,kq->k", G, np.exp(0.5j * np.pi / P * k[:, None] * u))
-    x_c, c_c = x_c.ravel(), wq_c.ravel() * mu(x_c.ravel())
-    m += np.exp(0.5j * h * k[:, None] * x_c) @ c_c
-    m *= h / np.pi
-    return np.concatenate([m[:0:-1].conj(), m])     # c real: mu(-k) = conj
-
-
-def _lag_assembly(p, mu, h, n):
+def _lag_assembly(p, mom, n):
     """A[i, j] = Re conj(q_i) . U_i(2j - i), q_i = (1, -i) sqrt(C_i), by
     the moment recursion of the module docstring written as U_{c+1}(k) =
     M_c U_c(k+1) + conj(M_c) U_c(k-1), M_c = (I + i J C_c)/2.  The cells
     are the det-1 C_c = diag(p_c^2, 1/p_c^2) of the wave values p at the
-    nodes c h/2, so sqrt(C_c) = diag(p_c, 1/p_c).  U_c is held for |k| <=
+    nodes c h/2, so sqrt(C_c) = diag(p_c, 1/p_c).  mom holds the moments
+    mu(k), k = 0..2n, of ``accelerant._moments``.  U_c is held for |k| <=
     2n - c, all the lags later rows read."""
     q = 1.0 / p
     # I + i J diag(a, b) = [[1, -i b], [i a, 1]]
@@ -205,7 +172,7 @@ def _lag_assembly(p, mu, h, n):
     M[:, 0, 1] = -0.5j * (q * q)
     M[:, 1, 0] = 0.5j * (p * p)
     U = np.zeros((2, 4 * n + 1), dtype=complex)
-    U[0] = _moments(mu, h, n)
+    U[0] = np.concatenate([mom[:0:-1].conj(), mom])   # mu(-k) = conj
     A = np.empty((n, n))
     for i in range(n):
         if i:
@@ -242,11 +209,14 @@ def factor_via_transform(mu, R, n):
                               (c, c), pe_floor=1.0, max_reflection=0.0)
         return A, report
 
-    W = _dense_toeplitz(_toeplitz_column(mu, h, n))
     # A = 2 Re int_0^X conj(alpha_i e^{ix t_i}) e^{ix t_j} w(x) dx h/2pi;
     # the integrand is conjugate-even in x, so the half-window suffices.
+    # W is the Gram matrix of the same pairing: its column is the real
+    # even lags of the moments.
     p, _, pe_floor, kmax = _cell_waves(mu, R / 2.0, n)
-    A = _lag_assembly(p, mu, h, n)
+    mom = _moments(mu, h, n)
+    W = _dense_toeplitz(mom[:2 * n:2].real)
+    A = _lag_assembly(p, mom, n)
 
     diag = np.diag(A).copy()
     signs = np.where(diag < 0.0, -1.0, 1.0)

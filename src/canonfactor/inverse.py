@@ -1,13 +1,14 @@
 """Inverse spectral problem: from a bounded weight w to a unimodular
 Hamiltonian on [0, R] whose boundary density reproduces w.
 
-Route: the Toeplitz matrix W = I + eta*k((j-l)eta) is exactly the Gram
-matrix of the sampled exponentials sqrt(eta/2pi) e^{i x t_j} in
-L2(w dx) (Poisson summation over the Nyquist window), so its triangular
-factor W = L L^T performs the causal orthonormalization that defines the
-wave family.  Row j of L^{-1} is the j-th backward predictor of the
-Levinson-Durbin recursion scaled by 1/sqrt(P_j), P_j its prediction
-error, so the recursion evaluates the orthonormalized waves at x = 0,
+Route: the Toeplitz matrix W of ``accelerant._toeplitz_column`` is the
+Gram matrix of the sampled exponentials sqrt(eta/2pi) e^{i x t_j} in
+L2(w dx) over the Nyquist window |x| <= pi/eta, so its triangular factor
+W = L L^T performs the causal orthonormalization that defines the wave
+family, and its spectrum lies in [c1, c2] for every bounded w.  Row j
+of L^{-1} is the j-th backward predictor of the Levinson-Durbin
+recursion scaled by 1/sqrt(P_j), P_j its prediction error, so the
+recursion evaluates the orthonormalized waves at x = 0,
 y = L^{-1} 1, from the first column of W alone: O(M^2) time and O(M)
 memory for M wave samples, and no matrix is ever formed.  Its
 reflection coefficients k_i give all of it: the j-th predictor sums to
@@ -234,6 +235,21 @@ def _certified_extremes(col):
     return _certified_min(col, t_lo, r_lo), -_certified_min(-col, -t_hi, r_hi)
 
 
+def _certified_section(mu, col):
+    """Certified (min_eig, max_eig) of the section toeplitz(col) of mu.
+
+    A section whose certified min_eig is <= eps max_eig is refused
+    through ``_positivity_lost``: it is not positive definite, or its
+    condition is past 1/eps, where no double-precision pass resolves it.
+    """
+    lo, hi = map(float, _certified_extremes(col))
+    if lo <= np.finfo(float).eps * hi:
+        raise _positivity_lost(
+            mu, f"matrix not positive definite (certified eigenvalues "
+                f"{lo:.3e} to {hi:.3e})")
+    return lo, hi
+
+
 def _check_span(length, n, name):
     """The size n as an int; ValidationError naming the bad argument
     unless 0 < length < inf and n is a whole number >= 1 (NaN fails
@@ -249,15 +265,16 @@ def _check_span(length, n, name):
 
 def _positivity_lost(mu, found):
     """The SpectralPositivityError for a section of mu that failed its
-    positivity test: c1 = 0, or rounding at contrast c2/c1, or aliasing."""
+    positivity test: c1 = 0, or else rounding at contrast c2/c1, since
+    the windowed section's spectrum lies in [c1, c2]."""
     if mu.c1 <= 0:
         return SpectralPositivityError(
             f"{found}; the symbol must be bounded away from zero")
     return SpectralPositivityError(
         f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
         f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (a step weight "
-        "passes up to ~1e12 and fails from ~2e16 on, in between depending "
-        "on the size) or a step that aliases the weight")
+        "passes up to ~1e12 and fails from ~1e16 on, in between depending "
+        "on the size)")
 
 
 def _cell_waves(mu, R, N):
@@ -288,10 +305,9 @@ def _cell_waves(mu, R, N):
 def inverse_spectral(mu, R, N, report=False):
     """Unimodular Hamiltonian on [0, R] with boundary density ~ w.
 
-    Constant weights are handled in closed form (no kernel: w = c gives
-    H = diag(1/c, c)); everything else goes through the sampled
-    accelerant, which requires w = 1 outside a finite window (use
-    truncate_weight first when it is not).
+    Constant weights are handled in closed form (w = c gives
+    H = diag(1/c, c)); everything else goes through the windowed
+    Toeplitz column of w, whatever its tail.
     """
     mu.require_positive()
     N = _check_span(R, N, "R")
@@ -313,8 +329,8 @@ def inverse_spectral(mu, R, N, report=False):
     cells[:, 1, 1] = q * q
     ham = Hamiltonian(Grid(np.linspace(0.0, float(R), N + 1)), cells)
     if report:
-        lo, hi = _certified_extremes(col)
-        rep = InversionReport(N, eta, float(lo), float(hi),
+        lo, hi = _certified_section(mu, col)
+        rep = InversionReport(N, eta, lo, hi,
                               float(np.max(np.abs(ham.dets - 1.0))),
                               pe_floor, kmax)
         return ham, rep

@@ -5,10 +5,11 @@ The desk weights used throughout tests and demos are closed forms:
     constant     w = c
     step         w = inner on [-a, a], outer elsewhere
     cosine-bump  w = 1 + A cos^2(pi x / (2a)) on [-a, a]
-    sinc-bump    w = 1 + A (sin(Bx)/(Bx))^2        (band-limited accelerant)
+    sinc-bump    w = 1 + A (sin(Bx)/(Bx))^2        (band-limited w - 1)
 
-Each closed form knows its accelerant k(t) = (1/2pi) int (w-1) e^{-ixt} dx
-exactly when w - 1 is integrable.
+A measure is only its density and bounds; ``accelerant`` turns every
+one of them, closed form or sampled, into its discrete symbol by the
+same windowed quadrature.
 """
 
 import numpy as np
@@ -54,7 +55,6 @@ class SpectralMeasure:
         self.label = label
         self.params = dict(params or {})
         self.breakpoints = [float(b) for b in breakpoints]  # kinks of w
-        self._accel = None       # optional closed-form accelerant callable
 
     def __call__(self, x):
         return np.asarray(self._density(np.asarray(x, dtype=float)))
@@ -67,10 +67,6 @@ class SpectralMeasure:
     def is_constant(self):
         """w = c > 0, read off the bounds; the label only names the weight."""
         return 0 < self.c1 == self.c2
-
-    def closed_form_accelerant(self):
-        """Callable k(t) when known exactly, else None."""
-        return self._accel
 
     def tail_deviation(self, X):
         """Upper bound for |w(x) - tail| on |x| >= X."""
@@ -105,15 +101,11 @@ def step_weight(inner=2.0, half_width=1.0, outer=1.0):
     def dens(x):
         return np.where(np.abs(x) <= a, float(inner), float(outer))
 
-    m = SpectralMeasure(dens, min(inner, outer), max(inner, outer),
-                        tail=outer, window=a, label="step",
-                        params={"inner": inner, "half_width": a,
-                                "outer": outer},
-                        breakpoints=(-a, a))
-    if outer == 1.0:
-        amp = inner - 1.0
-        m._accel = lambda t: amp * a / np.pi * sinch(a * np.asarray(t, float))
-    return m
+    return SpectralMeasure(dens, min(inner, outer), max(inner, outer),
+                           tail=outer, window=a, label="step",
+                           params={"inner": inner, "half_width": a,
+                                   "outer": outer},
+                           breakpoints=(-a, a))
 
 
 def cosine_bump_weight(amplitude=1.0, half_width=1.0):
@@ -121,30 +113,21 @@ def cosine_bump_weight(amplitude=1.0, half_width=1.0):
     A, a = float(amplitude), float(half_width)
     if not (np.isfinite(A) and 0 < a < np.inf):
         raise DomainError(f"need finite A and 0 < a < inf, got {A}, {a}")
-    b = np.pi / a
 
     def dens(x):
         x = np.asarray(x, float)
         return 1.0 + np.where(np.abs(x) <= a,
                               A * np.cos(np.pi * x / (2 * a)) ** 2, 0.0)
 
-    # (1/2pi) int_{-a}^{a} A cos^2(pi x/2a) e^{-ixt} dx, written with
-    # cos^2 = (1 + cos(bx))/2 so every singularity is a removable sinc one
-    def accel(t):
-        t = np.asarray(t, dtype=float)
-        s = sinch(a * t) + 0.5 * (sinch(a * (b - t)) + sinch(a * (b + t)))
-        return (A * a / (2 * np.pi)) * s
-
-    m = SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
-                        tail=1.0, window=a, label="cosine-bump",
-                        params={"amplitude": A, "half_width": a},
-                        breakpoints=(-a, a))
-    m._accel = accel
-    return m
+    return SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
+                           tail=1.0, window=a, label="cosine-bump",
+                           params={"amplitude": A, "half_width": a},
+                           breakpoints=(-a, a))
 
 
 def sinc_bump_weight(amplitude=0.5, scale=1.0):
-    """w = 1 + A (sin(Bx)/(Bx))^2; accelerant is the triangle on [-2B, 2B]."""
+    """w = 1 + A (sin(Bx)/(Bx))^2, band-limited: w - 1 transforms to the
+    triangle on [-2B, 2B]."""
     A, B = float(amplitude), float(scale)
     if not (np.isfinite(A) and 0 < B < np.inf):
         raise DomainError(f"need finite A and 0 < B < inf, got {A}, {B}")
@@ -152,16 +135,11 @@ def sinc_bump_weight(amplitude=0.5, scale=1.0):
     def dens(x):
         return 1.0 + A * sinch(B * np.asarray(x, float)) ** 2
 
-    def accel(t):
-        t = np.asarray(t, dtype=float)
-        return (A / (2 * B)) * np.clip(1.0 - np.abs(t) / (2 * B), 0.0, None)
-
-    m = SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
-                        tail=1.0, window=200.0 / B,
-                        tail_bound=lambda X: abs(A) / (B * X) ** 2,
-                        label="sinc-bump", params={"amplitude": A, "scale": B})
-    m._accel = accel
-    return m
+    return SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
+                           tail=1.0, window=200.0 / B,
+                           tail_bound=lambda X: abs(A) / (B * X) ** 2,
+                           label="sinc-bump",
+                           params={"amplitude": A, "scale": B})
 
 
 def sampled_weight(x, w, tail=1.0):

@@ -14,7 +14,7 @@ from canonfactor import (DomainError, Grid, Hamiltonian, SpectralMeasure,
                          inverse_spectral, read_matrix,
                          sampled_weight, sinc_bump_weight, step_weight,
                          wave_amplitudes, write_matrix, write_weight)
-from canonfactor import factorize, inverse
+from canonfactor import accelerant, factorize, inverse
 from canonfactor.quadrature import gauss_legendre
 
 
@@ -176,7 +176,7 @@ def test_useless_factor_reports_infinite_bounds(scale, monkeypatch):
     rng = np.random.default_rng(5)
     monkeypatch.setattr(
         factorize, "_lag_assembly",
-        lambda p, mu, h, n: scale * np.triu(rng.normal(size=(n, n))))
+        lambda p, mom, n: scale * np.triu(rng.normal(size=(n, n))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, rep = factor_via_transform(step_weight(2.0, 1.0), _R, 64)
@@ -295,11 +295,12 @@ def test_lag_assembly_matches_dense_pairing(name, n, monkeypatch):
         on_edge = np.isin(inside, np.linspace(0.0, np.pi / h, n + 1))
         assert on_edge.sum() == 1 and (~on_edge).sum() >= 19
     p = inverse._cell_waves(mu, _R / 2.0, n)[0]
-    A = factorize._lag_assembly(p, mu, h, n)
+    A = factorize._lag_assembly(p, accelerant._moments(mu, h, n), n)
     assert A.shape == (n, n)
     assert np.max(np.abs(A - _dense_assembly(p, mu, h, n))) <= 1e-12
     A, rep = factor_via_transform(mu, _R, n)
-    monkeypatch.setattr(factorize, "_lag_assembly", _dense_assembly)
+    monkeypatch.setattr(factorize, "_lag_assembly",
+                        lambda p, mom, n: _dense_assembly(p, mu, h, n))
     A_ref, ref = factor_via_transform(mu, _R, n)
     assert np.max(np.abs(A - A_ref)) <= 1e-12
     for field in ("residual", "cond", "leakage", "vs_cholesky",

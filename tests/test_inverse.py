@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 from canonfactor import (DomainError, HalfLineFunction,
-                         SpectralPositivityError, accelerant_from_weight,
-                         build_toeplitz, constant_weight, inverse_spectral,
-                         isometry_residual, sampled_weight, sinc_bump_weight,
+                         SpectralPositivityError, build_toeplitz,
+                         constant_weight, inverse_spectral,
+                         isometry_residual, sinc_bump_weight,
                          spectral_density, step_weight, weyl_function)
-from canonfactor import inverse
+from canonfactor import accelerant, inverse
 
 # sinc bumps and steps; w < 1 somewhere for a negative amplitude or an
-# inner value below 1, and then coarse sections can be indefinite
+# inner value below 1, where the windowed section still keeps its
+# spectrum in [c1, c2]
 weights = st.one_of(
     st.builds(sinc_bump_weight, st.floats(-0.6, 1.5), st.floats(0.5, 2.0)),
     st.builds(step_weight, st.floats(0.3, 3.0), st.floats(0.3, 2.0)))
@@ -25,9 +27,7 @@ weights = st.one_of(
 def dense_section(mu, span, n):
     """The order-2n Toeplitz matrix of the inverse map and its spectrum,
     built densely as the oracle for the column route."""
-    eta = span / n
-    col = eta * accelerant_from_weight(mu, eta * np.arange(2 * n))
-    col[0] += 1.0
+    col = accelerant._toeplitz_column(mu, span / n, 2 * n)
     W = toeplitz(col)
     eigs = np.linalg.eigvalsh(W)
     if eigs[0] < -1e-8:
@@ -163,6 +163,8 @@ def test_levinson_is_the_positivity_test():
 @given(mu=weights, n=st.integers(2, 256), span=st.floats(2.0, 20.0))
 def test_report_extremes_are_certified(mu, n, span):
     _, _, eigs = dense_section(mu, span, n)
+    if mu.is_constant:      # the exact branch: the section is c I
+        eigs = np.array([mu.c1])
     _, rep = inverse_spectral(mu, span, n, report=True)
     # _EIG_RTOL = 1e-10 relative, plus eigvalsh's rounding on the far side
     ulp = 4 * np.spacing(eigs[-1])
@@ -283,6 +285,25 @@ def test_indefinite_column_raises(monkeypatch, col):
         inverse._cell_waves(sinc_bump_weight(0.5, 1.0), 4.0, len(col) // 2)
 
 
+@pytest.mark.parametrize("extremes", [(1e-3, 1e16), (0.0, 2.0),
+                                      (-1e-3, 2.0)])
+def test_certified_sections_past_double_precision_are_refused(
+        monkeypatch, extremes):
+    # one rule wherever the certificate is read: min_eig <= eps max_eig
+    # refuses; the report once returned min_eig = 0.049 at cond 2e17
+    mu = step_weight(2.0, 1.0)
+    monkeypatch.setattr(inverse, "_certified_extremes", lambda col: extremes)
+    for call in (lambda: build_toeplitz(mu, 8, 0.5),
+                 lambda: inverse_spectral(mu, 4.0, 8, report=True)):
+        with pytest.raises(SpectralPositivityError,
+                           match="double precision"):
+            call()
+    monkeypatch.setattr(inverse, "_certified_extremes",
+                        lambda col: (1.0, 1e15))
+    assert build_toeplitz(mu, 8, 0.5).cond == 1e15
+    assert inverse_spectral(mu, 4.0, 8, report=True)[1].cond == 1e15
+
+
 def test_inverse_memory_is_linear_in_n(bump_mu):
     # the dense route held three 2N x 2N matrices, 272 MB at N = 2048
     tracemalloc.start()
@@ -294,10 +315,15 @@ def test_inverse_memory_is_linear_in_n(bump_mu):
     assert peak < 32e6
 
 
-def test_inverse_requires_unit_tail():
-    mu = sampled_weight([-1.0, 1.0], [1.0, 1.5], tail=2.0)
-    with pytest.raises(DomainError):
-        inverse_spectral(mu, 4.0, 8)
+def test_inverse_scales_with_the_weight():
+    # the windowed symbol needs no tail 1: a weight twice another has
+    # twice its section, and the recovered density doubles with it
+    xs = np.linspace(-3.0, 3.0, 13)
+    double = spectral_density(
+        inverse_spectral(step_weight(3.0, 1.0, outer=2.0), 12.8, 128), xs)
+    single = spectral_density(
+        inverse_spectral(step_weight(1.5, 1.0), 12.8, 128), xs)
+    assert np.max(np.abs(double - 2.0 * single)) <= 1e-12 * np.max(double)
 
 
 def test_inverse_requires_positive_floor():
@@ -348,4 +374,24 @@ def test_certificate_survives_a_bad_ritz_pair(monkeypatch, fault):
     else:
         assert np.isfinite(shift)
     ulp = 4 * np.spacing(eigs[-1])
-    assert eigs[0] * (1 - inverse._EIG_RTOL) - ulp <= lo <= eigs[0]
+    assert eigs[0] * (1 - inverse._EIG_RTOL) - ulp <= lo
+    # lo lies within an ulp of lambda_min, past what eigvalsh resolves;
+    # a 50-digit Levinson pass on col - lo e_0 runs through, so lo is a
+    # true lower bound on the spectrum of the rounded column
+    assert _positive_definite_50_digits(col, lo)
+
+
+def _positive_definite_50_digits(col, shift):
+    """The Levinson positivity test of toeplitz(col) - shift I in 50-digit
+    arithmetic: True iff every prediction error P_j is positive."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(float(v)) for v in col]
+        c[0] -= mpmath.mpf(float(shift))
+        a, p = [mpmath.mpf(1)], c[0]
+        for j in range(1, len(c)):
+            if p <= 0:
+                return False
+            k = -mpmath.fsum(a[i] * c[j - i] for i in range(j)) / p
+            a = [x + k * y for x, y in zip(a + [0], [0] + a[::-1])]
+            p *= 1 - k * k
+        return p > 0

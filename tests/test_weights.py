@@ -1,20 +1,20 @@
-"""Weight families, file format, and accelerant kernels."""
+"""Weight families, file format, and the discrete symbol."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          SpectralMeasure, UnsupportedFeatureError,
-                         ValidationError, a2_ell1,
-                         accelerant_from_weight, build_toeplitz,
+                         ValidationError, a2_ell1, build_toeplitz,
                          constant_weight, cosine_bump_weight,
                          factor_via_transform, inverse_spectral,
                          isometry_residual, read_weight, sampled_weight,
                          sinc_bump_weight, step_weight, szego_K,
                          truncate_weight, weight_by_name, write_weight)
-from canonfactor import accelerant, inverse
+from canonfactor import accelerant
 
 
 def test_weight_family_bounds():
@@ -34,8 +34,6 @@ def test_equal_samples_take_the_constant_path(c, keep_tail):
     mu = sampled_weight([-1.0, 0.0, 2.0], [c, c, c],
                         tail=c if keep_tail else None)
     assert mu.is_constant
-    if c == 1.0:
-        assert not accelerant_from_weight(mu, [0.0, 1.0]).any()
     ham = inverse_spectral(mu, 4.0, 8)
     assert np.array_equal(ham.cells, np.tile(np.diag([1.0 / c, c]), (8, 1, 1)))
     assert np.array_equal(build_toeplitz(mu, 5, 0.5).matrix, c * np.eye(5))
@@ -59,20 +57,29 @@ def _odd_weight():
         tail=1.0, window=1.0)
 
 
-# weights whose w - 1 is not integrable; the constant one takes the closed
-# form w = c everywhere but in the accelerant itself
+# weights with a tail other than 1: the windowed section is the Gram
+# matrix of w, so its spectrum lies in [c1, c2] whatever the tail
 _TAIL_NOT_ONE = {
-    "constant 2": constant_weight(2.0),
     "step outer 3": step_weight(2.0, 1.0, outer=3.0),
-    "sampled tail 2": sampled_weight([-1.0, 1.0], [1.0, 3.0], tail=2.0),
+    "sampled tail 2": sampled_weight([-1.0, 0.0, 1.0], [1.0, 3.0, 1.0],
+                                     tail=2.0),
 }
+# each call's certified (or, for the factor, computed) spectrum of W
 _KERNEL_CALLS = {
-    "accelerant_from_weight": lambda mu: accelerant_from_weight(
-        mu, [0.0, 1.0]),
-    "build_toeplitz": lambda mu: build_toeplitz(mu, 4, 0.5),
-    "inverse_spectral": lambda mu: inverse_spectral(mu, 4.0, 8),
-    "factor_via_transform": lambda mu: factor_via_transform(mu, 4.0, 8),
+    "build_toeplitz": lambda mu: _extremes(build_toeplitz(mu, 4, 0.5)),
+    "inverse_spectral": lambda mu: _extremes(
+        inverse_spectral(mu, 4.0, 8, report=True)[1]),
+    "factor_via_transform": lambda mu: _extremes(factor_via_transform(
+        mu, 4.0, 8)[0], gram=True),
 }
+
+
+def _extremes(out, gram=False):
+    if gram:
+        lam = np.linalg.eigvalsh(out.T @ out)
+        return lam[0], lam[-1]
+    return out.min_eig, out.max_eig
+
 
 # keyword arguments that break SpectralMeasure(_one, c1=1, c2=2, ...)
 _BAD_BOUNDS = {
@@ -87,26 +94,31 @@ _BAD_BOUNDS = {
 }
 
 # the symbol's contract, one check per rule: SpectralMeasure checks the
-# bounds at construction (a NaN tail once reached szego_K as nan),
-# accelerant_from_weight the integrability of w - 1, _check_even evenness
+# bounds at construction (a NaN tail once reached szego_K as nan) and
+# _check_even evenness; a tail other than 1 is no error, so those cases
+# are (None, the weight, its call)
 _CONTRACT = {
     **{f"SpectralMeasure {k}": (ValidationError, None,
                                 lambda kw=kw: SpectralMeasure(
                                     _one, **{"c1": 1.0, "c2": 2.0, **kw}))
        for k, kw in _BAD_BOUNDS.items()},
-    **{f"{call} {weight}": (DomainError, "truncate_weight",
+    **{f"{call} {weight}": (None, _TAIL_NOT_ONE[weight],
                             lambda c=call, w=weight: _KERNEL_CALLS[c](
                                 _TAIL_NOT_ONE[w]))
-       for call in _KERNEL_CALLS for weight in _TAIL_NOT_ONE
-       if call == "accelerant_from_weight" or weight != "constant 2"},
+       for call in _KERNEL_CALLS for weight in _TAIL_NOT_ONE},
     "odd weight": (UnsupportedFeatureError, "even",
-                   lambda: accelerant_from_weight(_odd_weight(), [0.0, 1.0])),
+                   lambda: build_toeplitz(_odd_weight(), 4, 0.5)),
 }
 
 
 @pytest.mark.parametrize("case", list(_CONTRACT))
 def test_the_symbol_contract(case):
     error, match, call = _CONTRACT[case]
+    if error is None:
+        lo, hi = call()
+        mu = match
+        assert mu.c1 * (1.0 - 1e-10) <= lo <= hi <= mu.c2 * (1.0 + 1e-10)
+        return
     with pytest.raises(error, match=match):
         call()
 
@@ -146,61 +158,65 @@ def test_read_weight_malformed_rows(tmp_path, body):
         read_weight(path)
 
 
-# -- accelerants ---------------------------------------------------------------
+# -- the discrete symbol ------------------------------------------------------
 
-def test_step_accelerant_is_sinc():
-    # w - 1 = indicator of [-1,1]: k(t) = sin t / (pi t)
-    mu = step_weight(2.0, 1.0)
-    k = mu.closed_form_accelerant()
-    ts = np.linspace(-6.0, 6.0, 41)
-    ref = np.sinc(ts / np.pi) / np.pi
-    assert np.max(np.abs(k(ts) - ref)) < 1e-14
-    assert abs(k(0.0) - 1.0 / np.pi) < 1e-15
-
-
-def test_sinc_bump_accelerant_is_hat():
-    # w = 1 + A sinc^2(Bx) transforms to a triangular hat of radius 2B
-    A, B = 0.5, 1.0
-    ts = np.linspace(-3.0, 3.0, 25)
-    k = accelerant_from_weight(sinc_bump_weight(A, B), ts)
-    ref = (A / (2.0 * B)) * np.maximum(1.0 - np.abs(ts) / (2.0 * B), 0.0)
-    assert np.max(np.abs(k - ref)) < 1e-14
+def _column_by_quad(mu, h, lags):
+    """(h/pi) int_0^{pi/h} w(x) cos(xhm) dx by scipy's QAWO, piece by
+    piece between the breakpoints of w."""
+    X = np.pi / h
+    cuts = [0.0, *sorted(b for b in mu.breakpoints if 0.0 < b < X), X]
+    return np.array([h / np.pi * sum(
+        quad(mu, a, b, weight="cos", wvar=h * m, epsabs=1e-13,
+             epsrel=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+        for m in lags])
 
 
-def test_negative_control_accelerant():
-    # w = 1 - indicator[-1/2,1/2]: k(t) = -sin(t/2)/(pi t)
-    k = step_weight(0.0, 0.5).closed_form_accelerant()
-    ts = np.array([0.3, 1.0, 4.0])
-    assert np.allclose(k(ts), -np.sin(ts / 2.0) / (np.pi * ts), atol=1e-14)
+@pytest.mark.parametrize("mu", [sinc_bump_weight(0.5, 1.0),
+                                sinc_bump_weight(-0.6, 1.0),
+                                cosine_bump_weight(1.0, 1.0),
+                                step_weight(2.0, 1.0, outer=3.0)],
+                         ids=["sinc-0.5", "sinc-neg0.6", "cosine-bump",
+                              "step-outer-3"])
+def test_toeplitz_column_matches_quad(mu):
+    # the column is the windowed Gram column of w, for any tail
+    h, n = 0.25, 96
+    lags = np.array([0, 1, 2, 7, 30, 61, 95])
+    col = accelerant._toeplitz_column(mu, h, n)
+    assert np.max(np.abs(col[lags] - _column_by_quad(mu, h, lags))) <= 1e-13
 
 
-def _density_only(mu):
-    """The same weight without its stored closed-form accelerant."""
-    return SpectralMeasure(mu, mu.c1, mu.c2, tail=1.0, window=mu.window,
-                           breakpoints=mu.breakpoints)
+def test_step_column_is_the_windowed_sinc():
+    # for a step inside the window, delta_m + (c - 1)(a h/pi) sinch(a h m)
+    # exactly, the sampled kernel with no aliasing
+    c, a, h, n = 3.0, 1.3, 0.2, 200
+    m = np.arange(n)
+    ref = (m == 0) + (c - 1.0) * (a * h / np.pi) * np.sinc(a * h * m / np.pi)
+    col = accelerant._toeplitz_column(step_weight(c, a), h, n)
+    assert np.max(np.abs(col - ref)) <= 1e-14
 
 
-def test_numeric_accelerant_matches_closed_forms():
-    ts = np.linspace(0.0, 4.0, 33)
-    for mu in (step_weight(2.0, 1.0), cosine_bump_weight(1.0, 1.0),
-               sinc_bump_weight(0.5, 1.0)):
-        ref = mu.closed_form_accelerant()
-        dev = np.max(np.abs(accelerant_from_weight(mu, ts) - ref(ts)))
-        assert dev < 1e-9, mu.label
-    # the panel quadrature of w - 1 (the sinc bump's slow tail would
-    # need ~10^7 nodes, so only the compactly supported deviations)
-    for mu in (step_weight(2.0, 1.0), cosine_bump_weight(1.0, 1.0)):
-        ref = mu.closed_form_accelerant()
-        k = accelerant_from_weight(_density_only(mu), ts)
-        assert np.max(np.abs(k - ref(ts))) < 1e-9, mu.label
+@pytest.mark.parametrize("h", [np.pi, 1.0, 0.5])
+def test_low_step_section_is_certified(h):
+    # c1 = 0.01 > 0, so the section is positive definite at every step;
+    # the periodized column had min eigenvalues -8.9, -2.96 and -0.98
+    tw = build_toeplitz(step_weight(0.01, 10.0), 64, h)
+    assert tw.min_eig >= 0.01 * (1.0 - 1e-10)
 
 
-def test_accelerant_even_and_interpolates():
-    mu = cosine_bump_weight(1.0, 1.0)
-    ts = np.linspace(0.0, 4.9, 23)
-    for m in (mu, _density_only(mu)):
-        assert np.allclose(accelerant_from_weight(m, -ts),
-                           accelerant_from_weight(m, ts))
+def test_sampled_weight_memory_is_bounded():
+    # the cut panels once took a (lags x nodes) table of exponentials:
+    # 552 MB traced for the factor of this weight at n = 1024
+    x = np.linspace(-5.0, 5.0, 1001)
+    mu = sampled_weight(x, 1.0 + 0.5 * np.exp(-x * x))
+    for call in (lambda: inverse_spectral(mu, 20.0, 2048),
+                 lambda: factor_via_transform(mu, 12.8, 1024)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
 
 def test_truncate_weight_clamps_deviation():
@@ -209,57 +225,6 @@ def test_truncate_weight_clamps_deviation():
     assert cut(10.0) == mu.tail
     assert cut(0.5) == mu(0.5)
     assert cut.window <= 3.0
-
-
-def test_constant_weight_has_zero_accelerant():
-    k = accelerant_from_weight(constant_weight(1.0), np.linspace(-2, 2, 9))
-    assert np.array_equal(k, np.zeros(9))
-    with pytest.raises(DomainError, match="truncate"):
-        accelerant_from_weight(constant_weight(2.0), [0.0, 1.0])
-    with pytest.raises(ValidationError, match="finite"):
-        accelerant_from_weight(step_weight(2.0, 1.0), [0.0, np.nan])
-
-
-def test_numeric_kernel_memory_is_blocked(monkeypatch):
-    # the kernel of a truncated weight has no closed form; the whole
-    # (2N, Q) array cos(t x) took 97 MB traced at N = 1024
-    mu = truncate_weight(sinc_bump_weight(0.5, 1.0), 30.0)
-    inverse._cell_waves(mu, 20.0, 8)
-    tracemalloc.start()
-    try:
-        col = inverse._cell_waves(mu, 20.0, 1024)[1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-    # one block of every time is the one-shot kernel
-    monkeypatch.setattr(accelerant, "_BLOCK", 1 << 62)
-    ref = inverse._cell_waves(mu, 20.0, 1024)[1]
-    assert np.max(np.abs(col - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_numeric_kernel_refuses_a_tail_beyond_the_window():
-    # a tail bound says w - 1 reaches past the window; doubling the
-    # window up to 1e6 took 6.5 s for 16 times of the sinc bump and
-    # still missed its closed form by 4.9e-8, so the kernel refuses
-    # before it evaluates anything beyond the evenness probe
-    mu = sinc_bump_weight(0.5, 1.0)
-    points = []
-
-    def dens(x):
-        points.append(np.size(x))
-        return mu(x)
-
-    plain = SpectralMeasure(dens, mu.c1, mu.c2, tail=1.0, window=mu.window,
-                            tail_bound=mu.tail_bound)
-    with pytest.raises(DomainError, match="truncate_weight"):
-        accelerant_from_weight(plain, np.linspace(0.0, 4.0, 16))
-    assert sum(points) <= 8
-    # a bound already negligible at the window lets the kernel run
-    tight = SpectralMeasure(dens, mu.c1, mu.c2, tail=1.0, window=30.0,
-                            tail_bound=lambda X: 0.0)
-    k = accelerant_from_weight(tight, [0.0, 1.0])
-    assert np.all(np.isfinite(k))
 
 
 _STEPS = HalfLineFunction.from_uniform([1.0, 2.0, 0.5], span=3.0, tail=1.0)
