@@ -23,11 +23,15 @@ The wave grid oversamples the Hamiltonian grid twice (wave times live on
 The report's eigenvalue bounds are certified: Lanczos on an FFT matvec
 brackets the extremes of W, and a Levinson positive-definiteness pass on
 W - sigma I (the inertia test of Cybenko & Van Loan) certifies each
-shift sigma.  Each certified pass also leaves the predictor that makes
-(W - sigma I)^{-1} a Gohberg-Semencul FFT matvec, and shift-and-invert
-Lanczos on it picks the next shift, so ~2-4 passes per end give
-min_eig <= lambda_min(W), max_eig >= lambda_max(W), each within
-_EIG_RTOL relative, and cond is an upper bound.
+shift sigma.  The first shift of each end starts at the symbol's bound,
+c1 (1 - _EIG_RTOL/2) below and c2 (1 + _EIG_RTOL/2) above, wherever
+that is tighter than the Ritz residual's.  Each certified pass also
+leaves the predictor that makes (W - sigma I)^{-1} a Gohberg-Semencul
+FFT matvec, and shift-and-invert Lanczos on it picks the next shift, so
+1-3 passes per end give min_eig <= lambda_min(W), max_eig >=
+lambda_max(W), each within _EIG_RTOL relative, and cond is an upper
+bound.  On the sinc bump at N = 2048 the report makes 3 certificate
+passes and 2 Lanczos runs (the first and one shift-and-invert run).
 """
 
 from dataclasses import dataclass, field
@@ -164,12 +168,17 @@ def _lanczos_extremes(matvec, M):
     return (theta[0], res[0], x[0]), (theta[-1], res[-1], x[1])
 
 
-def _certified_min(col, theta, res):
+def _certified_min(col, theta, res, floor=None):
     """Certified lower bound on lambda_min(toeplitz(col)).
 
-    theta >= lambda_min is a Ritz value and res its residual norm.  A
-    shift sigma is certified when the Levinson pass on col - sigma e_0
-    runs through (W - sigma I positive definite, so lambda_min > sigma).
+    theta >= lambda_min is a Ritz value and res its residual norm; floor,
+    if given, is a lower bound on the spectrum known in advance (c1 for a
+    windowed section).  A shift sigma is certified when the Levinson pass
+    on col - sigma e_0 runs through (W - sigma I positive definite, so
+    lambda_min > sigma).  The first shift is the larger of theta - res
+    and floor (1 - _EIG_RTOL/2), so a tight floor certifies at once a
+    bracket that the Ritz residual leaves wide; a floor that rounding
+    puts above lambda_min fails its pass and lowers hi, like any shift.
     Shift-and-invert shrinks the bracket (lo certified, hi): Lanczos on
     the inverse of W - lo I, from the predictor of the pass at lo, finds
     its top Ritz pair (theta', r'); the Rayleigh quotient of the Ritz
@@ -194,6 +203,10 @@ def _certified_min(col, theta, res):
     # the floor keeps the downward search moving from theta = res = 0
     step = max(res, 0.5 * _EIG_RTOL * abs(theta), np.finfo(float).tiny)
     lo = hi - step
+    if floor is not None:
+        seed = floor - 0.5 * _EIG_RTOL * abs(floor)
+        if lo < seed < hi:
+            lo = seed
     while (inv := inverse_at(lo)) is None:
         hi, step = lo, 4.0 * step
         lo = hi - step
@@ -222,27 +235,32 @@ def _certified_min(col, theta, res):
     return lo
 
 
-def _certified_extremes(col):
+def _certified_extremes(col, c1=None, c2=None):
     """(min_eig, max_eig) bracketing the spectrum of toeplitz(col).
 
     min_eig <= lambda_min and max_eig >= lambda_max, each within
     _EIG_RTOL relative; O(M^2) time per Levinson pass, a few passes per
-    end, O(M) memory.
+    end, O(M) memory.  c1 <= lambda_min and lambda_max <= c2, where
+    known, seed the first shift of each end (``_certified_min``); every
+    shift is still certified by its own pass.
     """
     (t_lo, r_lo, _), (t_hi, r_hi, _) = _lanczos_extremes(
         _toeplitz_matvec(col), len(col))
     # lambda_max(W) = -lambda_min(-W)
-    return _certified_min(col, t_lo, r_lo), -_certified_min(-col, -t_hi, r_hi)
+    return (_certified_min(col, t_lo, r_lo, c1),
+            -_certified_min(-col, -t_hi, r_hi, None if c2 is None else -c2))
 
 
 def _certified_section(mu, col):
     """Certified (min_eig, max_eig) of the section toeplitz(col) of mu.
 
-    A section whose certified min_eig is <= eps max_eig is refused
-    through ``_positivity_lost``: it is not positive definite, or its
-    condition is past 1/eps, where no double-precision pass resolves it.
+    The windowed section's spectrum lies in [c1, c2], so the symbol's
+    bounds seed the two ends.  A section whose certified min_eig is
+    <= eps max_eig is refused through ``_positivity_lost``: it is not
+    positive definite, or its condition is past 1/eps, where no
+    double-precision pass resolves it.
     """
-    lo, hi = map(float, _certified_extremes(col))
+    lo, hi = map(float, _certified_extremes(col, c1=mu.c1, c2=mu.c2))
     if lo <= np.finfo(float).eps * hi:
         raise _positivity_lost(
             mu, f"matrix not positive definite (certified eigenvalues "

@@ -22,11 +22,25 @@ distinct pairs fit in one block the trig is evaluated once per pair
 and gathered into every block; otherwise each block evaluates the trig
 of its own cells straight into the buffer.  Either way memory stays
 O(``_BLOCK``), however many distinct pairs there are.  A cell whose growth
-|Im z| * width * d exceeds ``_MAX_GROWTH`` is cut into equal substeps.
-After every step the state of each z is divided by a power of two
-(frexp/ldexp), which is exact: wherever the unscaled product is finite
-and normal, the rescaled one with its scale put back equals it bit for
-bit, and past double range the scale-free ratios stay available.
+|Im z| * width * d exceeds ``_SUBSTEP_GROWTH`` is cut into equal substeps.
+
+The state of each z is divided by a power of two (frexp/ldexp) only when
+its growth could otherwise leave double range.  Before the loop the
+sweep bounds, once per cell and over every z, the norm of one substep's
+propagator P: with a = max|Im z| * step * d, |cos| <= cosh(a) and
+|z step sinch| <= cosh(a) min(max|z| step, 1/d), so
+
+    |P| <= cosh(a) (1 + min(max|z| step, 1/d) sum |C_ij|),
+
+and the same bound holds for P^{-1}, the adjugate, since det P = 1.  The
+state is rescaled after a step only once the sum of these log2 bounds
+since the last rescale passes ``_GROWTH_BUDGET`` bits; a step that does
+not rescale does no work per z.  So the largest modulus of each yielded
+state lies in [2^-(B+1), 2^B], B the budget, and every product of two
+entries stays finite and normal.  Scaling by a power of two is exact:
+wherever the unscaled product is finite and normal, the state with its
+scale put back equals it bit for bit, whichever steps rescaled, and
+past double range the scale-free ratios stay available.
 
 The sweep follows the dtype of z.  For real z the generator J H is real,
 so M(t, z) is real with det 1: the propagators (real ``cos``, real
@@ -42,7 +56,11 @@ from .hamiltonian import J
 from .quadrature import gauss_kronrod
 
 _BLOCK = 1 << 18        # cells x z per block of propagators
-_MAX_GROWTH = 200.0     # largest |Im z| * step * d of one substep
+_SUBSTEP_GROWTH = 200.0  # largest |Im z| * step * d of one substep
+# log2 growth bound between rescales: yielded states stay within 2^+-401
+# and their pairwise products within 2^+-802, and one more substep from
+# 2^400, which may take ~290 bits, stays finite
+_GROWTH_BUDGET = 400.0
 
 
 def sinch(x):
@@ -96,9 +114,11 @@ def _sweep(ham, z, m, t=None):
     z is a finite 1-D real or complex array.  Yields (k, state, scale) at
     t_0 = 0 and after each cell k = 1, 2, ...: M(t_k, z)[:, :m] equals
     state * 2**scale, with state of shape (2, m, nz) and the integer
-    exponents scale of shape (nz,).  The state is float64 for real z
-    and complex128 for complex z.  With t the grid is cut at t, so the
-    last node yielded is t itself.  Yielded arrays are never modified.
+    exponents scale of shape (nz,).  The largest modulus of each state
+    lies in [2**-(_GROWTH_BUDGET + 1), 2**_GROWTH_BUDGET].  The state is
+    float64 for real z and complex128 for complex z.  With t the grid is
+    cut at t, so the last node yielded is t itself.  Yielded arrays are
+    never modified.
     """
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
@@ -109,9 +129,18 @@ def _sweep(ham, z, m, t=None):
     widths = np.minimum(nodes[1:n + 1], t) - nodes[:n]
     d = np.sqrt(np.maximum(ham.dets[:n], 0.0))
     im_max = np.max(np.abs(z.imag), initial=0.0)
-    nsub = np.maximum(1, np.ceil(im_max * widths * d / _MAX_GROWTH)).astype(int)
+    nsub = np.maximum(1, np.ceil(im_max * widths * d / _SUBSTEP_GROWTH)
+                      ).astype(int)
     steps = widths / nsub
     g = _generators(ham.cells[:n])
+    # log2 of the bound on |P| and |P^-1| of one substep of each cell, over
+    # every z (module docstring); min(reach, 1/d) without dividing by 0
+    reach = np.max(np.abs(z), initial=0.0) * steps
+    reach /= np.maximum(1.0, reach * d)
+    bits = (np.log2(np.cosh(im_max * steps * d))
+            + np.log2(1.0 + reach * np.abs(ham.cells[:n]).sum(axis=(1, 2)))
+            ).tolist()
+    grown = 0.0             # bits of growth since the last rescale
 
     state = np.eye(2, m, dtype=np.result_type(z, np.float64))[..., None]
     state = state.repeat(z.size, axis=-1)
@@ -141,9 +170,12 @@ def _sweep(ham, z, m, t=None):
             Pk = Pb[:, :, k - lo, None, :]                # (2, 2, 1, nz)
             for _ in range(nsub[k]):
                 state = Pk[:, 0] * state[0] + Pk[:, 1] * state[1]
-                e = np.frexp(np.abs(state).max(axis=(0, 1)))[1]
-                state *= np.ldexp(1.0, -e)
-                scale = scale + e
+                grown += bits[k]
+                if grown > _GROWTH_BUDGET:
+                    e = np.frexp(np.abs(state).max(axis=(0, 1)))[1]
+                    state *= np.ldexp(1.0, -e)
+                    scale = scale + e
+                    grown = 0.0
             yield k + 1, state, scale
 
 

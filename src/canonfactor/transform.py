@@ -29,6 +29,8 @@ right-continuous there.  ``reproducing_kernel`` is the closed form in
 Theta itself, against which the amplitudes are checked.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -217,6 +219,35 @@ def f_mu_apply(ham, f, z_grid):
     return complex(out[0]) if not shape else out.reshape(shape)
 
 
+# Si(x)/x = sum_k (-1)^k x^2k / ((2k + 1) (2k + 1)!), highest power first;
+# at x = 2 the 13th term is below 1e-17 of the sum
+_SI_SERIES = np.array([(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))
+                       for k in range(12, -1, -1)])
+_E1_DEPTH = 120     # continued-fraction terms; 100 reach rounding at x = 2
+
+
+def _si_complement(x):
+    """pi/2 - Si(x) = int_x^inf sin(t)/t dt, elementwise for x >= 0.
+
+    Up to x = 2 it is pi/2 minus the power series of Si.  Beyond, it is
+    -Im E1(ix), with the continued fraction
+    E1(ix) = e^{-ix} / (1 + ix - 1/(3 + ix - 4/(5 + ix - ...)))
+    (Numerical Recipes, 2nd ed., section 6.9) evaluated bottom-up: no
+    cancellation against pi/2 as x grows.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= 2.0
+    xs = x[small]
+    out[small] = np.pi / 2.0 - xs * np.polyval(_SI_SERIES, xs * xs)
+    ix = 1j * x[~small]
+    tail = np.zeros_like(ix)
+    for i in range(_E1_DEPTH, 0, -1):
+        tail = i * i / (2 * i + 1 + ix - tail)
+    out[~small] = -(np.exp(-ix) / (1.0 + ix - tail)).imag
+    return out
+
+
 def _plancherel_tail(f, X, w_tail):
     """Exact int_{|x|>X} |F f|^2 w dx for identity waves (P_t = e^{ixt}).
 
@@ -224,15 +255,13 @@ def _plancherel_tail(f, X, w_tail):
     the square gives integrals int_{|x|>X} e^{ix tau}/x^2 dx with the
     closed form 2 [cos(tau X)/X - |tau| (pi/2 - Si(|tau| X))].
     """
-    from scipy.special import sici     # ~0.3 s to import; needed only here
     a = f.grid.nodes[:-1]
     b = f.grid.nodes[1:]
     fv = f.values
 
     def T(tau):
         tau = np.abs(tau)
-        si = sici(tau * X)[0]
-        return 2.0 * (np.cos(tau * X) / X - tau * (np.pi / 2.0 - si))
+        return 2.0 * (np.cos(tau * X) / X - tau * _si_complement(tau * X))
 
     taus_pp = b[:, None] - b[None, :]
     taus_mm = a[:, None] - a[None, :]

@@ -4,8 +4,8 @@ The half-line limit m(z) = lim Phi^-/Theta^- is certified through the
 nested Weyl disks: at each grid node the candidate values fill a disk of
 radius |det M| / (2 |Im(Theta^- conj(Theta^+))|), and the disks shrink
 as the sweep advances.  Both the radius and the candidate value are
-ratios of same-scaled matrix entries, so per-step renormalization of M
-(needed once Im z * t is large) cancels exactly.
+ratios of same-scaled matrix entries, so the sweep's power-of-two
+rescaling of M (needed once Im z * t is large) cancels exactly.
 
 The boundary values of a Hamiltonian on [0, R] are read off the wave at
 the end of the grid.  Continue H past R by its last cell

@@ -196,6 +196,45 @@ def test_certified_extremes_take_few_passes(monkeypatch):
     assert len(calls) <= 6
 
 
+@pytest.mark.parametrize("mu, passes, runs", [
+    (sinc_bump_weight(0.5, 1.0), 4, 2),
+    (step_weight(2.0, 1.0), 3, 1),
+], ids=["sinc-0.5-1.0", "step-2-1"])
+def test_report_work_with_the_symbol_bounds(monkeypatch, mu, passes, runs):
+    # the wave pass, then per end one pass at the first shift and at most
+    # one shift-and-invert Lanczos run and its pass: on the bump the first
+    # Ritz value reads 1 + 5.9e-6 with residual 3.1e-5 while lambda_min =
+    # 1 + 2.7e-8 and c1 = 1, and the seed c1 (1 - 5e-11) saves a pass
+    # and a Lanczos run (5 and 3 without it); on the step both ends sit
+    # at c1 = 1 and c2 = 2
+    calls = _counted_levinson(monkeypatch)
+    lanczos = inverse._lanczos_extremes
+    runs_seen = []
+
+    def counted(*args):
+        runs_seen.append(1)
+        return lanczos(*args)
+
+    monkeypatch.setattr(inverse, "_lanczos_extremes", counted)
+    inverse_spectral(mu, 20.0, 2048, report=True)
+    assert (len(calls), len(runs_seen)) == (passes, runs)
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 0.5, 0.7])
+def test_seeded_brackets_match_dense_spectrum(amplitude):
+    # the seeded first shift sits at c1 (1 - 5e-11), within the bracket's
+    # width of lambda_min: the certified ends must still enclose the
+    # spectrum of the order-4096 section, with test_report_extremes'
+    # slack for eigvalsh's rounding
+    mu = sinc_bump_weight(amplitude, 1.0)
+    _, col, _, _ = inverse._cell_waves(mu, 20.0, 2048)
+    eigs = np.linalg.eigvalsh(toeplitz(col))
+    _, rep = inverse_spectral(mu, 20.0, 2048, report=True)
+    ulp = 4 * np.spacing(eigs[-1])
+    assert eigs[0] * (1 - 1e-10) - ulp <= rep.min_eig <= eigs[0]
+    assert eigs[-1] <= rep.max_eig <= eigs[-1] * (1 + 1e-10) + ulp
+
+
 def test_singular_sections_stop_early(monkeypatch):
     # lambda_min = 0 admits no relative bracket: these took 130, 67 and
     # 85 passes (2.5 s) when only the relative stop ended the search;
@@ -292,14 +331,15 @@ def test_certified_sections_past_double_precision_are_refused(
     # one rule wherever the certificate is read: min_eig <= eps max_eig
     # refuses; the report once returned min_eig = 0.049 at cond 2e17
     mu = step_weight(2.0, 1.0)
-    monkeypatch.setattr(inverse, "_certified_extremes", lambda col: extremes)
+    monkeypatch.setattr(inverse, "_certified_extremes",
+                        lambda col, c1=None, c2=None: extremes)
     for call in (lambda: build_toeplitz(mu, 8, 0.5),
                  lambda: inverse_spectral(mu, 4.0, 8, report=True)):
         with pytest.raises(SpectralPositivityError,
                            match="double precision"):
             call()
     monkeypatch.setattr(inverse, "_certified_extremes",
-                        lambda col: (1.0, 1e15))
+                        lambda col, c1=None, c2=None: (1.0, 1e15))
     assert build_toeplitz(mu, 8, 0.5).cond == 1e15
     assert inverse_spectral(mu, 4.0, 8, report=True)[1].cond == 1e15
 

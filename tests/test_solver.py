@@ -11,7 +11,7 @@ from canonfactor import (DomainError, HalfLineFunction, Hamiltonian, J,
                          isometry_residual, j_energy_residual, krein_wave,
                          random_unimodular, reproducing_kernel,
                          sinc_bump_weight, transfer_matrix, wave_amplitudes)
-from canonfactor import solver
+from canonfactor import solver, weyl
 from canonfactor.solver import _restore, _sweep, sinch
 
 
@@ -124,7 +124,7 @@ def test_theta_phi_columns_and_shapes():
 
 def test_sweep_rows_rebuild_transfer_matrix():
     # every node's state, its scale put back, is Theta there; each state
-    # is rescaled to largest modulus in [1/2, 1]
+    # keeps its largest modulus within the growth budget of a rescale
     rng = np.random.default_rng(23)
     ham = random_unimodular(rng, 5, span=5.0)
     z = np.array([0.5 + 0.8j, 2j])
@@ -135,7 +135,8 @@ def test_sweep_rows_rebuild_transfer_matrix():
         ref = transfer_matrix(ham, node, z).theta
         assert np.allclose(rebuilt, ref, rtol=1e-12, atol=0.0)
         top = np.max(np.abs(state), axis=(0, 1))
-        assert np.all((top >= 0.5) & (top <= 1.0))
+        budget = solver._GROWTH_BUDGET
+        assert np.all((top >= 2.0 ** -(budget + 1)) & (top <= 2.0 ** budget))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 12),
@@ -163,16 +164,19 @@ def test_real_sweep_matches_complex(seed, n_cells, span, xs):
 
 
 def test_rescale_is_exact():
-    # the m = 1 and m = 2 sweeps remove different powers of two (Phi,
-    # which only the m = 2 maximum sees, is 4x larger than Theta here);
-    # with the scale put back both must give the unscaled product bit
-    # for bit
+    # M grows like e^{12 * 30} = 2^519 here, past the growth budget, so
+    # the sweep rescales; the m = 1 and m = 2 sweeps remove different
+    # powers of two (Phi, which only the m = 2 maximum sees, is 4x larger
+    # than Theta here); with the scale put back both must give the
+    # unscaled product bit for bit
     ham = Hamiltonian.constant([[0.25, 0.0], [0.0, 4.0]], span=30.0,
                                n_cells=12)
-    z = np.array([0.3 + 2.0j, -1.0 + 5.0j, 2.0 + 0.1j])
+    z = np.array([0.3 + 2.0j, -1.0 + 12.0j, 2.0 + 0.1j])
     one = list(_sweep(ham, z, 1))
     two = list(_sweep(ham, z, 2))
     assert len(one) == len(two) == ham.grid.n_cells + 1
+    assert np.log2(np.max(np.abs(_restore(*one[-1][1:], 30.0, z)))) > (
+        solver._GROWTH_BUDGET)
     assert any(np.any(s1 != s2) for (_, _, s1), (_, _, s2) in zip(one, two))
     for (_, a, s1), (_, b, s2) in zip(one, two):
         assert np.array_equal(_restore(a, s1, 30.0, z),
@@ -199,7 +203,8 @@ def test_matches_per_cell_product():
 
 def _per_cell_sweep(ham, z, m):
     """The states and scales of the sweep from one closed-form propagator
-    per cell, evaluated cell by cell, with the same substeps and rescale."""
+    per cell, evaluated cell by cell, with the same substeps and a
+    rescale after every one."""
     state = np.eye(2, m, dtype=np.result_type(z, np.float64))[..., None]
     state = state.repeat(z.size, axis=-1)
     scale = np.zeros(z.size, dtype=np.int64)
@@ -239,6 +244,12 @@ _SWEEP_CASES = {
                                  [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
                                  [0.0, 1.0, 1.0, 0.5, 0.0, 1.0]),
         np.linspace(-40.0, 40.0, 8) + 0.5j),
+    # real z, M grows ~2^2000 over 200 cells that alternate between
+    # diag(1e3, 1e-3) and its inverse
+    "real_growth": lambda: (
+        Hamiltonian.from_entries(np.arange(201.0), np.tile([1e3, 1e-3], 100),
+                                 np.zeros(200), np.tile([1e-3, 1e3], 100)),
+        np.array([0.3, 1.0, np.pi / 2, 2.0])),
     # |Im z| * width * sqrt(det) up to ~550 > 200: cells take 2 or 3 substeps
     "complex_substeps": lambda: (
         random_unimodular(np.random.default_rng(43), 12, 12.0),
@@ -247,13 +258,24 @@ _SWEEP_CASES = {
 }
 
 
+def _shifted(state, shift):
+    """state * 2**shift along the last axis, exact for real and complex."""
+    if np.iscomplexobj(state):
+        return np.ldexp(state.view(float), np.repeat(shift, 2)).view(complex)
+    return np.ldexp(state, shift)
+
+
 @pytest.mark.parametrize("block", [solver._BLOCK, 64],
                          ids=["one-block", "8-cell-blocks"])
 @pytest.mark.parametrize("name", sorted(_SWEEP_CASES))
 def test_sweep_matches_per_cell_propagators(name, block, monkeypatch):
     # the sweep evaluates the trig once per distinct (step, d) and
-    # gathers it into each block; the states must not move by a bit
+    # gathers it into each block, and rescales only when its growth
+    # budget runs out; with the difference of the scales put back the
+    # states must not move by a bit, and each keeps its largest modulus
+    # within the budget (complex_substeps runs it out every few steps)
     monkeypatch.setattr(solver, "_BLOCK", block)
+    budget = solver._GROWTH_BUDGET
     ham, z = _SWEEP_CASES[name]()
     if name == "complex_substeps":
         growth = np.max(np.abs(z.imag)) * ham.grid.widths * np.sqrt(ham.dets)
@@ -263,8 +285,71 @@ def test_sweep_matches_per_cell_propagators(name, block, monkeypatch):
         ref = _per_cell_sweep(ham, z, m)
         assert len(got) == len(ref) == ham.grid.n_cells + 1
         for (_, a, sa), (b, sb) in zip(got, ref):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b) and np.array_equal(sa, sb)
+            assert a.dtype == b.dtype and sa.dtype == sb.dtype
+            assert np.array_equal(_shifted(a, sa - sb), b)
+            top = np.max(np.abs(a), axis=(0, 1))
+            assert np.all((top >= 2.0 ** -(budget + 1))
+                          & (top <= 2.0 ** budget))
+
+
+def test_sweep_rescales_only_when_its_budget_runs_out():
+    # on the recovered bump each step's growth bound at |x| <= 40 is ~1 bit,
+    # so its 2048 cells take ~2000 bits: 4 rescales, where the reference
+    # rescales after every cell
+    ham, z = _SWEEP_CASES["recovered"]()
+    scales = [scale for _, _, scale in _sweep(ham, z, 2)]
+    changed = sum(np.any(a != b) for a, b in zip(scales, scales[1:]))
+    assert 1 <= changed <= 8
+
+
+def _reference_sweep(ham, z, m, t=None):
+    """``_per_cell_sweep`` in the shape of ``_sweep``, for the full grid."""
+    assert t is None or t == ham.grid.span
+    for k, (state, scale) in enumerate(_per_cell_sweep(ham, z, m)):
+        yield k, state, scale
+
+
+def test_sweep_consumers_match_the_per_cell_reference(monkeypatch):
+    # the Weyl disks and the boundary values read products of two state
+    # entries; with fewer rescales they must keep every bit
+    ham, z = _SWEEP_CASES["complex_substeps"]()
+    zw = z[z.imag > 0]
+    x = np.concatenate([z.real, [-300.0, 450.0]])
+    got = weyl.weyl_sweep(ham, zw, tol=0.0), weyl.boundary_values(ham, x)
+    monkeypatch.setattr(weyl, "_sweep", _reference_sweep)
+    ref = weyl.weyl_sweep(ham, zw, tol=0.0), weyl.boundary_values(ham, x)
+    for a, b in zip((*got[0], got[1]), (*ref[0], ref[1])):
+        assert np.array_equal(a, b)
+
+
+def test_transfer_matrix_overflows_where_the_reference_does(monkeypatch):
+    # M(30, z) passes 2^1024 at |Im z| = 1024 ln 2 / 30 = 23.66 on the free
+    # system: the same z raise, and the others give the same bits
+    ham = Hamiltonian.identity(30.0, 12)
+    z = 1.0 + 1j * np.linspace(23.0, 24.2, 25)
+
+    def outcomes():
+        out = []
+        for zk in z:
+            try:
+                out.append(transfer_matrix(ham, 30.0, zk).m)
+            except DomainError as exc:
+                out.append(str(exc))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(solver, "_sweep", _reference_sweep)
+    ref = outcomes()
+    assert sum(isinstance(o, str) for o in got) not in (0, len(z))
+    for a, b in zip(got, ref):
+        assert type(a) is type(b) and np.array_equal(a, b)
+
+
+def test_sweeps_over_no_z():
+    ham = random_unimodular(np.random.default_rng(5), 6, 3.0)
+    assert transfer_matrix(ham, 2.0, np.empty(0)).m.shape == (0, 2, 2)
+    assert [a.shape for a in weyl.weyl_sweep(ham, np.empty(0))] == [(0,)] * 2
+    assert weyl.boundary_values(ham, np.empty(0)).shape == (0,)
 
 
 def test_sweep_takes_one_trig_row_per_distinct_step(monkeypatch):
