@@ -27,6 +27,15 @@ quadrature moments through the cells instead; see ``factorize``.)
 P_t jumps at the wave nodes 2 a_c with sqrt(H); ``krein_wave`` is
 right-continuous there.  ``reproducing_kernel`` is the closed form in
 Theta itself, against which the amplitudes are checked.
+
+``isometry_residual`` checks Plancherel, ||F f||_mu = ||f||, by
+quadrature on the half axis x >= 0 alone.  With S = diag(1, -1), S J S
+= -J and H real give the mirror identity F_H f(-x) = conj(F_{SHS} f(x))
+for real x and real f, so the half x < 0 is a second transform on the
+mirrored cells SHS (H with its off-diagonal entries negated), and no
+second transform at all when H is diagonal on the support of f, as every
+Hamiltonian ``inverse_spectral`` returns is.  ``f_mu_apply`` itself
+takes arbitrary z and does not mirror.
 """
 
 import math
@@ -34,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import J
+from .hamiltonian import Hamiltonian, J
 from .quadrature import gauss_legendre
 from .solver import _sweep, sinch, transfer_matrix
 
@@ -276,10 +285,17 @@ def isometry_residual(ham, mu, f, X=1e3):
     """| ||F f||^2_{L2(mu), truncated at X} + tail - ||f||^2_{L2} |.
 
     The window integral is order-8 Gauss-Legendre on panels resolving the
-    oscillation of |F f|^2; the tail beyond X is exact (via Si) when the
-    Hamiltonian is the identity on the support of f and w has an exact
-    constant tail inside X, else it is estimated from the asymptotic
-    mean of |x F f(x)|^2 over the outer decade of the window.
+    oscillation of |F f|^2, laid on the half axis [0, X] only and split
+    at every |b| of ``mu.breakpoints`` inside it.  The negative half
+    axis comes from the mirror identity: for real x and S = diag(1, -1),
+    F_H f(-x) = conj(F_{SHS} f(x)), so the window sums |F_H f(x)|^2 w(x)
+    + |F_{SHS} f(x)|^2 w(-x) over the nodes x >= 0.  When the cells
+    holding the waves of f have no off-diagonal entry, SHS = H and one
+    transform serves both halves; else the second runs on the mirrored
+    cells.  The tail beyond X is exact (via Si) when the Hamiltonian is
+    the identity on the support of f and w has an exact constant tail
+    inside X, else it is estimated from the asymptotic mean of
+    |x F f(x)|^2 over the outer decade of both halves of the window.
     """
     mu.require_positive()
     if mu.tail is None:
@@ -290,24 +306,33 @@ def isometry_residual(ham, mu, f, X=1e3):
     k_use = _wave_cells(ham, r, "f span")
     norm_f = float(np.dot(f.grid.widths, f.values ** 2))
 
+    # the half x >= 0 of n_panels equal panels on [-X, X], cut at 0
     n_panels = int(np.ceil(4.0 * X * max(r, 1.0) / np.pi))
     edges = np.unique(np.concatenate([
-        np.linspace(-X, X, n_panels + 1),
-        [p for p in mu.breakpoints if -X < p < X], [0.0]]))
+        X - (2.0 * X / n_panels) * np.arange((n_panels + 1) // 2), [0.0],
+        [abs(p) for p in mu.breakpoints if 0 < abs(p) < X]]))
     nodes, wq = gauss_legendre(8, edges[:-1], edges[1:])
     nodes = nodes.ravel()
 
     F = f_mu_apply(ham, f, nodes)
-    dens = np.asarray(mu(nodes), dtype=float)
-    window = float(np.sum(wq.ravel() * np.abs(F) ** 2 * dens))
+    if np.any(ham.cells[:k_use, 0, 1]):
+        # S H S, S = diag(1, -1): H with its off-diagonal entries negated
+        mirror = Hamiltonian.from_entries(ham.grid.nodes, ham.h1, -ham.h,
+                                          ham.h2)
+        F_neg = f_mu_apply(mirror, f, nodes)
+    else:
+        F_neg = F
+    # |F f|^2 w at x plus, through the mirror, at -x, for the nodes x >= 0
+    both = (np.abs(F) ** 2 * np.asarray(mu(nodes), dtype=float)
+            + np.abs(F_neg) ** 2 * np.asarray(mu(-nodes), dtype=float))
+    window = float(np.sum(wq.ravel() * both))
 
     ident = np.allclose(ham.cells[:k_use],
                         np.eye(2), rtol=0.0, atol=1e-13)
     if ident and mu.tail_bound is None and mu.window <= X:
         tail = _plancherel_tail(f, X, mu.tail)
     else:
-        outer = np.abs(nodes) >= 0.7 * X
-        c_avg = float(np.mean((np.abs(nodes[outer] * F[outer]) ** 2)
-                              * dens[outer]))
+        outer = nodes >= 0.7 * X
+        c_avg = 0.5 * float(np.mean(nodes[outer] ** 2 * both[outer]))
         tail = 2.0 * c_avg / X
     return abs(window + tail - norm_f)

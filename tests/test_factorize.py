@@ -445,7 +445,7 @@ def test_factor_report_reuses_the_wave_pass(monkeypatch):
 def test_high_contrast_names_the_contrast(c):
     # c1 = 1: the section is positive definite in exact arithmetic, and
     # rounding loses it at high contrast (a step passes up to c2/c1 ~
-    # 1e12 and fails from ~2e16 on, in between depending on the size;
+    # 1e12 and fails from ~1e16 on, in between depending on the size;
     # 1e16 is past 1/eps, where no double-precision pass can tell); the
     # error names the contrast instead of a weight that would touch zero
     mu = step_weight(c, 1.0)

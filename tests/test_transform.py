@@ -13,8 +13,10 @@ from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          ValidationError, constant_weight, f_mu_apply, isometry_residual,
                          factor_via_transform, inverse_spectral, krein_wave,
                          random_unimodular, reproducing_kernel,
-                         sinc_bump_weight, transfer_matrix, wave_amplitudes)
+                         sampled_weight, sinc_bump_weight, step_weight,
+                         transfer_matrix, wave_amplitudes)
 from canonfactor import solver, transform
+from canonfactor.quadrature import gauss_legendre
 
 
 def test_sqrt_psd_hand_values():
@@ -375,3 +377,113 @@ def test_factor_makes_no_sweep(monkeypatch):
     monkeypatch.setattr(solver, "_sweep", counting)
     factor_via_transform(_MU, 12.8, 32)
     assert len(calls) == 0
+
+
+def _mirrored(ham):
+    """S H S, S = diag(1, -1): H with its off-diagonal entries negated."""
+    return Hamiltonian.from_entries(ham.grid.nodes, ham.h1, -ham.h, ham.h2)
+
+
+_MIRROR_HAMILTONIANS = {
+    **_FOLD_HAMILTONIANS,
+    "random_unimodular_6": lambda: random_unimodular(
+        np.random.default_rng(4), 6, 6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_HAMILTONIANS))
+def test_f_mu_apply_mirror_identity(name):
+    # F_H f(-x) = conj(F_{SHS} f(x)) for real x, bit for bit: the half
+    # axis x < 0 of the Plancherel check rests on it.  A recovered H is
+    # diagonal, so SHS = H; on off-diagonal cells the naive conj(F_H f(x))
+    # is off by 0.23 and 3.7 on the two random_unimodular cases here
+    ham = _MIRROR_HAMILTONIANS[name]()
+    f = HalfLineFunction.from_uniform(
+        np.random.default_rng(13).uniform(-1.0, 1.0, 7), span=7.0)
+    x = np.random.default_rng(14).uniform(0.0, 30.0, 50)
+    got = f_mu_apply(ham, f, -x)
+    assert np.array_equal(got, np.conj(f_mu_apply(_mirrored(ham), f, x)))
+    naive = np.max(np.abs(got - np.conj(f_mu_apply(ham, f, x))))
+    if name == "inverse_spectral":
+        assert _mirrored(ham) == ham and naive == 0.0
+    else:
+        assert naive > 1e-2
+
+
+def _full_axis_residual(ham, mu, f, X):
+    """The Plancherel residual by quadrature over all of [-X, X]: one
+    transform at every node, no mirror, the tail as in ``isometry_residual``."""
+    r = f.grid.span
+    n_panels = int(np.ceil(4.0 * X * max(r, 1.0) / np.pi))
+    edges = np.unique(np.concatenate([
+        np.linspace(-X, X, n_panels + 1),
+        [p for p in mu.breakpoints if -X < p < X], [0.0]]))
+    nodes, wq = gauss_legendre(8, edges[:-1], edges[1:])
+    nodes = nodes.ravel()
+    F = f_mu_apply(ham, f, nodes)
+    dens = np.asarray(mu(nodes), dtype=float)
+    window = float(np.sum(wq.ravel() * np.abs(F) ** 2 * dens))
+    k_use = transform._wave_cells(ham, r, "f span")
+    if (np.allclose(ham.cells[:k_use], np.eye(2), rtol=0.0, atol=1e-13)
+            and mu.tail_bound is None and mu.window <= X):
+        tail = transform._plancherel_tail(f, X, mu.tail)
+    else:
+        outer = np.abs(nodes) >= 0.7 * X
+        tail = 2.0 * float(np.mean(np.abs(nodes[outer] * F[outer]) ** 2
+                                   * dens[outer])) / X
+    return abs(window + tail - float(np.dot(f.grid.widths, f.values ** 2)))
+
+
+# _XS samples an asymmetric weight, w(-x) != w(x), whose kinks |b| cut
+# many half-axis panels; a step's kinks +-0.7 both cut at 0.7
+_XS = np.linspace(-3.1, 4.3, 23)
+_ISOMETRY_CASES = {
+    "identity-step": lambda: (Hamiltonian.identity(2.0, 2),
+                              step_weight(2.0, 0.7)),
+    "diagonal-bump": lambda: (_HAM, _MU),
+    "diagonal-step": lambda: (_HAM, step_weight(2.5, 0.7)),
+    "offdiagonal-step": lambda: (_FOLD_HAMILTONIANS["random_unimodular"](),
+                                 step_weight(2.0, 0.7)),
+    "offdiagonal-sampled": lambda: (
+        _FOLD_HAMILTONIANS["random_unimodular"](),
+        sampled_weight(_XS, 1.0 + 0.3 * np.sin(_XS) ** 2 + 0.05 * _XS)),
+}
+
+
+@pytest.mark.parametrize("X", [45.0, 50.0])
+@pytest.mark.parametrize("name", sorted(_ISOMETRY_CASES))
+def test_isometry_matches_full_axis_quadrature(name, X):
+    # the half axis and the mirror against one transform over [-X, X];
+    # 4.0 X r / pi is 114.6 (odd ceiling: 0 cuts the middle panel) at
+    # X = 45 and 127.3 (even) at X = 50
+    ham, mu = _ISOMETRY_CASES[name]()
+    f = HalfLineFunction.from_uniform(
+        np.random.default_rng(15).uniform(-1.0, 1.0, 6), span=2.0)
+    ref = _full_axis_residual(ham, mu, f, X)
+    assert abs(isometry_residual(ham, mu, f, X=X) - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("name, calls, nodes", [
+    ("diagonal-bump", 1, 8 * 64), ("diagonal-step", 1, 8 * 65),
+    ("identity-step", 1, 8 * 65), ("offdiagonal-step", 2, 8 * 65)])
+def test_isometry_transforms_the_half_axis(name, calls, nodes, monkeypatch):
+    # X = 50, r = 2: 128 panels on [-50, 50], so 64 on [0, 50], and the
+    # step's |b| = 0.7 cuts one more; one transform when H is diagonal on
+    # the support of f (SHS = H), a second on the mirrored cells else
+    ham, mu = _ISOMETRY_CASES[name]()
+    seen = []
+    apply = transform.f_mu_apply
+
+    def counting(h, f, z):
+        seen.append((h, np.asarray(z)))
+        return apply(h, f, z)
+
+    monkeypatch.setattr(transform, "f_mu_apply", counting)
+    isometry_residual(ham, mu, _F, X=50.0)
+    assert len(seen) == calls
+    assert [z.size for _, z in seen] == [nodes] * calls
+    assert all(np.all((0.0 <= z) & (z <= 50.0)) for _, z in seen)
+    assert seen[0][0] is ham
+    if calls == 2:
+        assert seen[1][0] == _mirrored(ham)
+        assert np.array_equal(seen[1][1], seen[0][1])
