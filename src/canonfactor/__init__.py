@@ -46,8 +46,7 @@ _EXPORTS = {
     "WEIGHT_FAMILIES": ".measures",
     "read_weight": ".measures",
     "write_weight": ".measures",
-    # the discrete symbol
-    "truncate_weight": ".accelerant",
+    "truncate_weight": ".measures",
     # inverse spectral problem
     "InversionReport": ".inverse",
     "inverse_spectral": ".inverse",

@@ -13,38 +13,17 @@ Their Solution, 1974).  Both the column and the factor's pairing read
 the windowed moments mu(k) = (h/pi) int_0^{pi/h} w(x) e^{ixhk/2} dx of
 ``_moments``; the column is their real even lags.  All desk weights are
 even, making W real; odd weights are rejected rather than
-half-supported.
+half-supported.  Weights, ``truncate_weight`` too, live in ``measures``.
 """
 
 from math import isqrt
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFeatureError
-from .measures import SpectralMeasure
+from .errors import UnsupportedFeatureError
 from .quadrature import gauss_legendre
 
 _ORDER = 16             # Gauss-Legendre nodes per panel of the moments
-
-
-def truncate_weight(mu, j):
-    """Replace w by 1 outside [-j, j]; bounds widen to include 1."""
-    if not 0 < j < np.inf:
-        raise DomainError(f"truncation radius must be in (0, inf), got {j}")
-    j = float(j)
-    if mu.tail == 1.0 and mu.window <= j and mu.tail_bound is None:
-        return mu          # already 1 beyond [-j, j]
-
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= j, mu(x), 1.0)
-
-    out = SpectralMeasure(
-        dens, min(mu.c1, 1.0), max(mu.c2, 1.0), tail=1.0, window=j,
-        label="truncated", params=dict(mu.params, j=j, base=mu.label),
-        breakpoints=sorted({-j, j, *(b for b in mu.breakpoints
-                                     if -j < b < j)}))
-    return out
 
 
 def _check_even(mu):

@@ -267,8 +267,7 @@ def _dual_step_density():
         return g * g
 
     return SpectralMeasure(wd, 0.0, 2.0, tail=1.0, window=1.0,
-                           tail_bound=bound, label="dual-step",
-                           breakpoints=(-1.0, 0.0, 1.0))
+                           tail_bound=bound, breakpoints=(-1.0, 0.0, 1.0))
 
 
 def criterion_8(ctx):
@@ -357,17 +356,18 @@ CRITERIA = {i: fn for i, fn in enumerate(
 
 
 def run_acceptance(indices=None, printer=None, seed=0):
-    """Run the numbered criteria (all by default), one result line each.
+    """Run the numbered criteria (all by default), each once, one result
+    line each; an unknown index raises DomainError before any runs.
 
     A criterion that raises is reported as FAIL with the exception; the
     rest of the suite still runs.
     """
+    chosen = sorted(set(indices or CRITERIA))
+    if unknown := [i for i in chosen if i not in CRITERIA]:
+        raise DomainError(f"no acceptance criterion {unknown}")
     ctx = AcceptanceContext(seed=seed)
-    chosen = sorted(indices) if indices else sorted(CRITERIA)
     results = []
     for idx in chosen:
-        if idx not in CRITERIA:
-            raise DomainError(f"no acceptance criterion {idx}")
         try:
             res = CRITERIA[idx](ctx)
         except Exception as exc:

@@ -7,12 +7,12 @@ weight spec answer without importing numpy (an unknown weight family or
 an unreadable file may come after it).
 
 Exit codes: 0 ok, 1 acceptance failures, 2 configuration problems
-(including a malformed command line, a non-finite number, and any path
-that cannot be read or written), 3 domain errors from the modules, a
-floating-point breakdown (kind=domain) and any other exception
-(kind=internal), 4 convergence errors.  Failures print a single
-machine-parsable line ``canonfactor: error kind=... detail=...`` on
-stderr.
+(including a malformed command line, a non-finite number, an unknown
+criterion index, and any path that cannot be read or written), 3 domain
+errors from the modules, a floating-point breakdown (kind=domain) and
+any other exception (kind=internal), 4 convergence errors.  Failures
+print a single machine-parsable line ``canonfactor: error kind=...
+detail=...`` on stderr.
 """
 
 import argparse
@@ -55,6 +55,14 @@ def _positive(text):
     return value
 
 
+def _nonnegative(text):
+    """A finite float >= 0 (argparse type)."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"negative: {text!r}")
+    return value
+
+
 def _build_parser():
     p = _Parser(
         prog="canonfactor",
@@ -78,7 +86,7 @@ def _build_parser():
     wy = sub.add_parser("weyl", help="Weyl function values on a z grid")
     wy.add_argument("--hamiltonian", required=True)
     wy.add_argument("--z", required=True, help="comma list of complex z")
-    wy.add_argument("--tol-weyl", type=_finite, default=1e-10)
+    wy.add_argument("--tol-weyl", type=_nonnegative, default=1e-10)
     wy.add_argument("--out", default="-")
 
     sz = sub.add_parser("szego", help="K(mu, iy) table for a weight")
@@ -136,7 +144,9 @@ def _build_parser():
 
 
 def _merge_config(parser, argv):
-    """Let an INI file supply defaults; explicit flags still win."""
+    """Let an INI file supply defaults: each entry is one --key=value flag
+    ahead of the user's at its parser level, so argparse converts and
+    checks it, and a later explicit flag wins."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -155,36 +165,28 @@ def _merge_config(parser, argv):
     # first bare token that names a subcommand (a flag value like the
     # config path itself can come earlier)
     command = next((a for a in argv if a in spa.choices), None)
-    child = spa.choices.get(command)
-    dests = {a.dest for a in child._actions} if child is not None else set()
+    own = {a.dest for a in spa.choices[command]._actions} if command else set()
     top = {a.dest for a in parser._actions}
     anywhere = {a.dest for p in spa.choices.values() for a in p._actions}
-    defaults = {}
+    head, tail = [], []
     # a key that no option takes would be dropped silently; a [common]
-    # key may serve another command
-    for section, takes in (("common", top | anywhere), (command, top | dests)):
+    # key may serve another command, and is then left out
+    for section, takes in (("common", top | anywhere), (command, top | own)):
         if section and cp.has_section(section):
             for key, val in cp.items(section):
-                if key.replace("-", "_") not in takes:
+                dest = key.replace("-", "_")
+                if dest not in takes:
                     raise ConfigError(
                         f"config {known.config}: key {key!r} in [{section}] "
                         "is no option of "
                         f"{'any' if section == 'common' else section} command")
-                defaults[key.replace("-", "_")] = val
-    # push defaults for the invoked subcommand onto its own parser: that
-    # both satisfies required options and lets argparse type-convert the
-    # string values; leftovers go on the top-level parser
-    if child is not None:
-        child_defaults = {k: v for k, v in defaults.items() if k in dests}
-        child.set_defaults(**child_defaults)
-        for a in child._actions:
-            if a.required and a.dest in child_defaults:
-                a.required = False
-        defaults = {k: v for k, v in defaults.items() if k not in dests}
-    parser.set_defaults(**defaults)
-    # string defaults hit each action's type= during parsing, so the
-    # config file never needs its own conversion table
-    return parser.parse_args(argv)
+                flag = f"--{dest.replace('_', '-')}={val}"
+                if dest in own:
+                    tail.append(flag)
+                elif dest in top:
+                    head.append(flag)
+    at = argv.index(command) + 1 if command else len(argv)
+    return parser.parse_args(head + argv[:at] + tail + argv[at:])
 
 
 def _parse_list(text, kind):
@@ -205,7 +207,7 @@ def _resolve_weight(spec):
             from .measures import read_weight
             return read_weight(spec[len(prefix):])
     name, _, rest = spec.partition(":")
-    params = {}
+    kwargs = {}
     for item in rest.split(","):
         if not item.strip():
             continue
@@ -213,7 +215,7 @@ def _resolve_weight(spec):
         if not _:
             raise ConfigError(f"weight parameter {item!r} is not key=value")
         try:
-            params[key.strip()] = _finite(val)
+            kwargs[key.strip()] = _finite(val)
         except argparse.ArgumentTypeError:
             raise ConfigError(f"weight parameter {item!r} is not a finite "
                               "number")
@@ -223,7 +225,7 @@ def _resolve_weight(spec):
         raise ConfigError(f"unknown weight family {name!r}; know "
                           f"{sorted(WEIGHT_FAMILIES)}")
     try:
-        return weight_by_name(name, **params)
+        return weight_by_name(name, **kwargs)
     except TypeError as exc:
         raise ConfigError(f"unknown weight spec {spec!r}: {exc}")
 
@@ -343,9 +345,9 @@ def _cmd_decompose(args, out):
 
 def _cmd_invert(args, out):
     mu = _resolve_weight(args.weight)
-    from .accelerant import truncate_weight
     from .hamiltonian import write_hamiltonian
     from .inverse import inverse_spectral
+    from .measures import truncate_weight
     if args.truncate is not None:
         mu = truncate_weight(mu, args.truncate)
     ham, report = inverse_spectral(mu, args.span, args.cells, report=True)
@@ -407,8 +409,12 @@ def _cmd_verify(args, out):
         if not indices:
             raise ConfigError(f"criterion list {args.only!r} names none")
     from .acceptance import run_acceptance
-    results = run_acceptance(indices=indices, printer=out.write,
-                             seed=args.seed)
+    from .errors import DomainError
+    try:
+        results = run_acceptance(indices=indices, printer=out.write,
+                                 seed=args.seed)
+    except DomainError as exc:      # an unknown index; none has run
+        raise ConfigError(exc)
     failed = [r.index for r in results if not r.passed]
     out.write(f"passed {len(results) - len(failed)}/{len(results)}")
     return 1 if failed else 0

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accelerant import _moments, _toeplitz_column
+from .accelerant import _moments
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .inverse import _cell_waves, _certified_section, _check_span
+from .inverse import (_cell_waves, _certified_section, _check_span,
+                      _section_column)
 from .tables import read_table, write_table
 
 
@@ -78,7 +79,7 @@ def build_toeplitz(mu, n, h):
         W = c * np.eye(n)
         lo = hi = c
     else:
-        col = _toeplitz_column(mu, h, n)
+        col = _section_column(mu, h, n)
         lo, hi = _certified_section(mu, col)
         W = _dense_toeplitz(col)
     return DiscreteWienerHopf(n, float(h), W, (mu.c1, mu.c2), lo, hi)

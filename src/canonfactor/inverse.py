@@ -168,25 +168,26 @@ def _lanczos_extremes(matvec, M):
     return (theta[0], res[0], x[0]), (theta[-1], res[-1], x[1])
 
 
-def _certified_min(col, theta, res, floor=None):
+def _certified_min(col, theta, res, floor):
     """Certified lower bound on lambda_min(toeplitz(col)).
 
-    theta >= lambda_min is a Ritz value and res its residual norm; floor,
-    if given, is a lower bound on the spectrum known in advance (c1 for a
-    windowed section).  A shift sigma is certified when the Levinson pass
-    on col - sigma e_0 runs through (W - sigma I positive definite, so
-    lambda_min > sigma).  The first shift is the larger of theta - res
-    and floor (1 - _EIG_RTOL/2), so a tight floor certifies at once a
-    bracket that the Ritz residual leaves wide; a floor that rounding
-    puts above lambda_min fails its pass and lowers hi, like any shift.
-    Shift-and-invert shrinks the bracket (lo certified, hi): Lanczos on
-    the inverse of W - lo I, from the predictor of the pass at lo, finds
-    its top Ritz pair (theta', r'); the Rayleigh quotient of the Ritz
-    vector lowers hi, and the next shift lo + 1/(theta' + 2 r') lies
-    just below lambda_min once theta' has converged (one that fails
-    lowers hi; a non-finite or out-of-bracket one bisects).  Stops at
-    _EIG_RTOL relative width, or, once lo <= 0, at M eps |col[0]| width
-    or at hi <= 0 <= col[0], and returns the certified end.
+    theta >= lambda_min is a Ritz value and res its residual norm; floor
+    is a lower bound on the spectrum known in advance (c1 for a windowed
+    section, -inf when none is known).  A shift sigma is certified when
+    the Levinson pass on col - sigma e_0 runs through (W - sigma I
+    positive definite, so lambda_min > sigma).  The first shift is the
+    larger of theta - res and floor (1 - _EIG_RTOL/2), so a tight floor
+    certifies at once a bracket that the Ritz residual leaves wide; a
+    floor that rounding puts above lambda_min fails its pass and lowers
+    hi, like any shift.  Shift-and-invert shrinks the bracket (lo
+    certified, hi): Lanczos on the inverse of W - lo I, from the
+    predictor of the pass at lo, finds its top Ritz pair (theta', r');
+    the Rayleigh quotient of the Ritz vector lowers hi, and the next
+    shift lo + 1/(theta' + 2 r') lies just below lambda_min once theta'
+    has converged (one that fails lowers hi; a non-finite or
+    out-of-bracket one bisects).  Stops at _EIG_RTOL relative width, or,
+    once lo <= 0, at M eps |col[0]| width or at hi <= 0 <= col[0], and
+    returns the certified end.
     """
     M = len(col)
     W = _toeplitz_matvec(col)
@@ -203,21 +204,19 @@ def _certified_min(col, theta, res, floor=None):
     # the floor keeps the downward search moving from theta = res = 0
     step = max(res, 0.5 * _EIG_RTOL * abs(theta), np.finfo(float).tiny)
     lo = hi - step
-    if floor is not None:
-        seed = floor - 0.5 * _EIG_RTOL * abs(floor)
-        if lo < seed < hi:
-            lo = seed
+    if (seed := floor - 0.5 * _EIG_RTOL * abs(floor)) < hi:
+        lo = max(lo, seed)
     while (inv := inverse_at(lo)) is None:
         hi, step = lo, 4.0 * step
         lo = hi - step
-    floor = M * np.finfo(float).eps * abs(col[0])
+    resolution = M * np.finfo(float).eps * abs(col[0])
     for _ in range(64):     # bisection alone reaches float resolution
         if hi - lo <= _EIG_RTOL * max(abs(lo), abs(hi)):
             break
         # no relative width is met about lambda_min = 0; hi <= 0 settles
         # positive definiteness, the question a nonnegative diagonal
         # leaves open (-W at the max end has a negative one)
-        if lo <= 0.0 and (hi - lo <= floor or hi <= 0.0 <= col[0]):
+        if lo <= 0.0 and (hi - lo <= resolution or hi <= 0.0 <= col[0]):
             break
         # a singular section overflows the inverse; its nan shift bisects
         with np.errstate(all="ignore"):
@@ -235,20 +234,20 @@ def _certified_min(col, theta, res, floor=None):
     return lo
 
 
-def _certified_extremes(col, c1=None, c2=None):
+def _certified_extremes(col, c1, c2):
     """(min_eig, max_eig) bracketing the spectrum of toeplitz(col).
 
     min_eig <= lambda_min and max_eig >= lambda_max, each within
     _EIG_RTOL relative; O(M^2) time per Levinson pass, a few passes per
-    end, O(M) memory.  c1 <= lambda_min and lambda_max <= c2, where
-    known, seed the first shift of each end (``_certified_min``); every
-    shift is still certified by its own pass.
+    end, O(M) memory.  The bounds c1 <= lambda_min and lambda_max <= c2
+    (-inf and inf when none are known) seed the first shift of each end
+    (``_certified_min``); every shift is still certified by its own pass.
     """
     (t_lo, r_lo, _), (t_hi, r_hi, _) = _lanczos_extremes(
         _toeplitz_matvec(col), len(col))
     # lambda_max(W) = -lambda_min(-W)
     return (_certified_min(col, t_lo, r_lo, c1),
-            -_certified_min(-col, -t_hi, r_hi, None if c2 is None else -c2))
+            -_certified_min(-col, -t_hi, r_hi, -c2))
 
 
 def _certified_section(mu, col):
@@ -290,9 +289,17 @@ def _positivity_lost(mu, found):
             f"{found}; the symbol must be bounded away from zero")
     return SpectralPositivityError(
         f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
-        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (a step weight "
-        "passes up to ~1e12 and fails from ~1e16 on, in between depending "
-        "on the size)")
+        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (refused from "
+        "1/eps = 4.5e15 on, before any pass; below, a step weight passes "
+        "up to ~1e12 and beyond that depending on the size)")
+
+
+def _section_column(mu, h, n):
+    """``_toeplitz_column``, refused before any pass if 0 < c1 <= eps c2
+    (condition up to c2/c1 >= 1/eps); c1 = 0 is left to the pass."""
+    if 0.0 < mu.c1 <= np.finfo(float).eps * mu.c2:
+        raise _positivity_lost(mu, "sections of this symbol are not resolved")
+    return _toeplitz_column(mu, h, n)
 
 
 def _cell_waves(mu, R, N):
@@ -310,7 +317,7 @@ def _cell_waves(mu, R, N):
     the (1, 1) entry of the diagonal sqrt(H) on each cell, and 1/p its
     (2, 2) entry: det H = 1 is the normalization gauge.
     """
-    col = _toeplitz_column(mu, float(R) / N, 2 * N)
+    col = _section_column(mu, float(R) / N, 2 * N)
     if (out := _levinson(col)) is None:
         raise _positivity_lost(
             mu, "discretized Wiener-Hopf matrix is not positive definite")

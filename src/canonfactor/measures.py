@@ -7,9 +7,9 @@ The desk weights used throughout tests and demos are closed forms:
     cosine-bump  w = 1 + A cos^2(pi x / (2a)) on [-a, a]
     sinc-bump    w = 1 + A (sin(Bx)/(Bx))^2        (band-limited w - 1)
 
-A measure is only its density and bounds; ``accelerant`` turns every
-one of them, closed form or sampled, into its discrete symbol by the
-same windowed quadrature.
+A measure is only what the numerics read, its density, bounds, tail and
+breakpoints; ``accelerant`` turns every one, closed form, sampled or
+truncated, into its discrete symbol by the same windowed quadrature.
 """
 
 import numpy as np
@@ -39,8 +39,7 @@ class SpectralMeasure:
     """
 
     def __init__(self, density, c1, c2, tail=None, window=0.0,
-                 tail_bound=None, label="custom", params=None,
-                 breakpoints=()):
+                 tail_bound=None, breakpoints=()):
         if not (0 <= c1 <= c2 < np.inf and 0 <= window < np.inf
                 and (tail is None or c1 <= tail <= c2)):
             raise ValidationError(
@@ -52,8 +51,6 @@ class SpectralMeasure:
         self.tail = None if tail is None else float(tail)
         self.window = float(window)
         self.tail_bound = tail_bound
-        self.label = label
-        self.params = dict(params or {})
         self.breakpoints = [float(b) for b in breakpoints]  # kinks of w
 
     def __call__(self, x):
@@ -65,7 +62,7 @@ class SpectralMeasure:
 
     @property
     def is_constant(self):
-        """w = c > 0, read off the bounds; the label only names the weight."""
+        """w = c > 0, read off the bounds."""
         return 0 < self.c1 == self.c2
 
     def tail_deviation(self, X):
@@ -77,8 +74,10 @@ class SpectralMeasure:
         return max(self.c2 - self.tail, self.tail - self.c1)
 
     def __repr__(self):
-        ps = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"SpectralMeasure({self.label}{', ' + ps if ps else ''})"
+        # the function that defined the density names the weight
+        name = getattr(self._density, "__qualname__", "density")
+        return (f"SpectralMeasure({name.split('.<locals>')[0]}, "
+                f"c1={self.c1}, c2={self.c2}, tail={self.tail})")
 
 
 # -- closed-form families ----------------------------------------------------
@@ -86,9 +85,8 @@ class SpectralMeasure:
 def constant_weight(c):
     if not 0 < c < np.inf:
         raise DomainError(f"constant weight must be in (0, inf), got {c}")
-    m = SpectralMeasure(lambda x: np.full_like(x, c, dtype=float), c, c,
-                        tail=c, window=0.0, label="constant", params={"c": c})
-    return m
+    return SpectralMeasure(lambda x: np.full_like(x, c, dtype=float), c, c,
+                           tail=c, window=0.0)
 
 
 def step_weight(inner=2.0, half_width=1.0, outer=1.0):
@@ -102,10 +100,7 @@ def step_weight(inner=2.0, half_width=1.0, outer=1.0):
         return np.where(np.abs(x) <= a, float(inner), float(outer))
 
     return SpectralMeasure(dens, min(inner, outer), max(inner, outer),
-                           tail=outer, window=a, label="step",
-                           params={"inner": inner, "half_width": a,
-                                   "outer": outer},
-                           breakpoints=(-a, a))
+                           tail=outer, window=a, breakpoints=(-a, a))
 
 
 def cosine_bump_weight(amplitude=1.0, half_width=1.0):
@@ -120,9 +115,7 @@ def cosine_bump_weight(amplitude=1.0, half_width=1.0):
                               A * np.cos(np.pi * x / (2 * a)) ** 2, 0.0)
 
     return SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
-                           tail=1.0, window=a, label="cosine-bump",
-                           params={"amplitude": A, "half_width": a},
-                           breakpoints=(-a, a))
+                           tail=1.0, window=a, breakpoints=(-a, a))
 
 
 def sinc_bump_weight(amplitude=0.5, scale=1.0):
@@ -137,9 +130,7 @@ def sinc_bump_weight(amplitude=0.5, scale=1.0):
 
     return SpectralMeasure(dens, min(1.0, 1.0 + A), max(1.0, 1.0 + A),
                            tail=1.0, window=200.0 / B,
-                           tail_bound=lambda X: abs(A) / (B * X) ** 2,
-                           label="sinc-bump",
-                           params={"amplitude": A, "scale": B})
+                           tail_bound=lambda X: abs(A) / (B * X) ** 2)
 
 
 def sampled_weight(x, w, tail=1.0):
@@ -169,8 +160,25 @@ def sampled_weight(x, w, tail=1.0):
     c2 = float(max(w.max(), *ext))
     return SpectralMeasure(dens, c1, c2, tail=tail,
                            window=float(max(abs(x[0]), abs(x[-1]))),
-                           label="sampled", params={"n": x.size},
                            breakpoints=x)
+
+
+def truncate_weight(mu, j):
+    """Replace w by 1 outside [-j, j]; bounds widen to include 1."""
+    if not 0 < j < np.inf:
+        raise DomainError(f"truncation radius must be in (0, inf), got {j}")
+    j = float(j)
+    if mu.tail == 1.0 and mu.window <= j and mu.tail_bound is None:
+        return mu          # already 1 beyond [-j, j]
+
+    def dens(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= j, mu(x), 1.0)
+
+    return SpectralMeasure(
+        dens, min(mu.c1, 1.0), max(mu.c2, 1.0), tail=1.0, window=j,
+        breakpoints=sorted({-j, j, *(b for b in mu.breakpoints
+                                     if -j < b < j)}))
 
 
 WEIGHT_FAMILIES = {
@@ -181,13 +189,13 @@ WEIGHT_FAMILIES = {
 }
 
 
-def weight_by_name(name, **params):
+def weight_by_name(name, **kwargs):
     try:
         fam = WEIGHT_FAMILIES[name]
     except KeyError:
         raise DomainError(
             f"unknown weight family {name!r}; know {sorted(WEIGHT_FAMILIES)}")
-    return fam(**params)
+    return fam(**kwargs)
 
 
 # -- file format: '#weight v1', rows 'x w(x)' --------------------------------

@@ -198,9 +198,7 @@ class TransferMatrix:
     ``phi`` the second.  For an array of z the matrix has shape (nz, 2, 2).
     """
 
-    def __init__(self, t, z, matrix):
-        self.t = t
-        self.z = z
+    def __init__(self, matrix):
         self.m = matrix
 
     @property
@@ -228,7 +226,7 @@ def transfer_matrix(ham, t, z):
     for _, state, scale in _sweep(ham, z.reshape(-1), 2, t):
         pass
     M = np.moveaxis(_restore(state, scale, t, z), -1, 0)
-    return TransferMatrix(t, z, M.reshape(z.shape + (2, 2)))
+    return TransferMatrix(M.reshape(z.shape + (2, 2)))
 
 
 def j_energy_residual(ham, r, z):

@@ -291,6 +291,61 @@ def test_config_common_key_of_another_command_is_harmless(tmp_path):
     assert proc.stdout.splitlines()[-1].split() == ["2.0", "0.0"]
 
 
+@pytest.mark.parametrize("only", ["99", "1,99", "0"])
+def test_verify_checks_every_index_before_any_criterion(capsys, only):
+    # an unknown index is a bad flag value: exit 2, and criterion 1 of
+    # "1,99" does not run first
+    assert cli.main(["verify", "--only", only]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("canonfactor: error kind=config")
+    assert "no acceptance criterion" in err
+
+
+def test_verify_runs_each_index_once(capsys):
+    assert cli.main(["verify", "--only", "3,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[-1] == "passed 1/1"
+
+
+def test_tol_weyl_is_nonnegative():
+    # a negative tolerance is a bad flag (exit 2 before numpy), not a
+    # convergence failure against "tol -1.0e+00"; 0 stays valid
+    code = ("import contextlib, io, sys\n"
+            "from canonfactor.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    code = main(['weyl', '--hamiltonian', 'h.txt', '--z', '1j',\n"
+            "                 '--tol-weyl', '-1'])\n"
+            "print(code, 'numpy' in sys.modules, '--tol-weyl' in "
+            "err.getvalue())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2 False True"
+    args = cli._build_parser().parse_args(
+        ["weyl", "--hamiltonian", "h.txt", "--z", "1j", "--tol-weyl", "0"])
+    assert args.tol_weyl == 0.0
+
+
+def test_config_entries_parse_as_flags(tmp_path, capsys):
+    # an INI entry is a flag ahead of the user's: argparse converts and
+    # checks it, and an explicit flag wins
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[common]\nseed = 3\n[szego]\nweight = constant:c=3\n"
+                   "y = 1,2\n")
+    assert cli.main(["--config", str(cfg), "szego", "--y", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["4.0 0.0"]
+    args = cli._merge_config(cli._build_parser(),
+                             ["--config", str(cfg), "szego"])
+    assert (args.seed, args.y, args.weight) == (3, "1,2", "constant:c=3")
+    assert cli._merge_config(cli._build_parser(),
+                             ["--seed", "5", "--config", str(cfg),
+                              "szego"]).seed == 5
+    cfg.write_text("[weyl]\nhamiltonian = h.txt\nz = 1j\ntol-weyl = -1\n")
+    assert cli.main(["--config", str(cfg), "weyl"]) == 2
+    assert "argument --tol-weyl: negative" in capsys.readouterr().err
+
+
 def test_early_errors_leave_numpy_unimported():
     # --help, an argparse error, a malformed weight spec and every
     # malformed flag value answer before the numeric imports (the

@@ -462,3 +462,30 @@ def test_high_contrast_names_the_contrast(c):
     with pytest.raises(SpectralPositivityError,
                        match="symbol must be bounded away from zero"):
         build_toeplitz(step_weight(0.0, 1.0), 1, np.pi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: inverse_spectral(step_weight(5.6e15, 1.0), 12.8, 256),
+    lambda: factor_via_transform(step_weight(4.6e15, 1.0), 12.8, 256),
+    lambda: build_toeplitz(step_weight(4.6e15, 1.0), 32, 0.4)],
+    ids=["inverse_spectral", "factor_via_transform", "build_toeplitz"])
+def test_contrast_past_double_precision_is_refused_before_any_pass(
+        monkeypatch, call):
+    # 0 < c1 <= eps c2: the wave pass once ran through to a Hamiltonian at
+    # 5.6e15, and to a factor whose certified residual read inf at 4.6e15
+    passes, levinson = [], inverse._levinson
+    monkeypatch.setattr(inverse, "_levinson",
+                        lambda col: passes.append(col) or levinson(col))
+    with pytest.raises(SpectralPositivityError,
+                       match=r"c2/c1 = [45]\.6e\+15 .* before any pass"):
+        call()
+    assert passes == []
+
+
+def test_contrast_below_double_precision_is_left_to_the_pass():
+    for c in (4.4e15, 0.0):     # c2/c1 < 1/eps, and c1 = 0
+        assert np.array_equal(
+            inverse._section_column(step_weight(c, 1.0), 0.4, 8),
+            accelerant._toeplitz_column(step_weight(c, 1.0), 0.4, 8))
+    with pytest.raises(SpectralPositivityError, match="before any pass"):
+        inverse._section_column(step_weight(1.0, 1.0, outer=4.6e15), 0.4, 8)

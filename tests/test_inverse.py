@@ -99,7 +99,7 @@ def test_report_reuses_the_wave_pass(bump_mu, monkeypatch):
         return levinson(c)
 
     monkeypatch.setattr(inverse, "_levinson", counted)
-    inverse._certified_extremes(col)
+    inverse._certified_extremes(col, -np.inf, np.inf)
     certify = len(calls)
     calls.clear()
     _, rep = inverse_spectral(bump_mu, 10.0, 64, report=True)
@@ -192,7 +192,7 @@ def test_certified_extremes_take_few_passes(monkeypatch):
     _, col, _, _ = inverse._cell_waves(sinc_bump_weight(0.5, 1.0), 20.0,
                                        2048)
     calls = _counted_levinson(monkeypatch)
-    inverse._certified_extremes(col)
+    inverse._certified_extremes(col, -np.inf, np.inf)
     assert len(calls) <= 6
 
 
@@ -244,7 +244,8 @@ def test_singular_sections_stop_early(monkeypatch):
         build_toeplitz(step_weight(0.0, 1.0), 1, np.pi)
     assert len(calls) <= 2
     calls.clear()
-    lo, hi = inverse._certified_extremes(np.ones(3))   # spectrum {0, 0, 3}
+    # spectrum {0, 0, 3}
+    lo, hi = inverse._certified_extremes(np.ones(3), -np.inf, np.inf)
     assert lo <= 0.0 and 3.0 <= hi <= 3.0 * (1 + 1e-10)
     assert len(calls) <= 3
     calls.clear()
@@ -407,7 +408,8 @@ def test_certificate_survives_a_bad_ritz_pair(monkeypatch, fault):
 
     monkeypatch.setattr(inverse, "_lanczos_extremes", faulty)
     monkeypatch.setattr(inverse, "_levinson", passes)
-    lo = inverse._certified_min(col, start, 2.0 * (start - eigs[0]))
+    lo = inverse._certified_min(col, start, 2.0 * (start - eigs[0]),
+                                -np.inf)
     shift, certified = events[events.index("ritz") + 1]
     if fault == "overshoot":
         assert shift > eigs[0] and not certified

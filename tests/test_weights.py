@@ -227,6 +227,16 @@ def test_truncate_weight_clamps_deviation():
     assert cut.window <= 3.0
 
 
+def test_repr_names_the_density_and_its_bounds():
+    # the name is read off the function that defined the density
+    assert repr(step_weight(2.0, 1.0)) == (
+        "SpectralMeasure(step_weight, c1=1.0, c2=2.0, tail=1.0)")
+    assert repr(truncate_weight(sinc_bump_weight(0.5, 1.0), 3.0)) == (
+        "SpectralMeasure(truncate_weight, c1=1.0, c2=1.5, tail=1.0)")
+    assert repr(SpectralMeasure(np.zeros_like, 0.0, 0.0)) == (
+        "SpectralMeasure(zeros_like, c1=0.0, c2=0.0, tail=None)")
+
+
 _STEPS = HalfLineFunction.from_uniform([1.0, 2.0, 0.5], span=3.0, tail=1.0)
 
 # each once returned nan, a plausible weight (NaN parameters made c1 = c2
