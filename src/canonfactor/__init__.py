@@ -42,7 +42,6 @@ _EXPORTS = {
     "cosine_bump_weight": ".measures",
     "sinc_bump_weight": ".measures",
     "sampled_weight": ".measures",
-    "weight_by_name": ".measures",
     "WEIGHT_FAMILIES": ".measures",
     "read_weight": ".measures",
     "write_weight": ".measures",

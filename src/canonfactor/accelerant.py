@@ -14,13 +14,15 @@ the windowed moments mu(k) = (h/pi) int_0^{pi/h} w(x) e^{ixhk/2} dx of
 ``_moments``; the column is their real even lags.  All desk weights are
 even, making W real; odd weights are rejected rather than
 half-supported.  Weights, ``truncate_weight`` too, live in ``measures``.
+The column refuses, before any moment, a symbol with 0 < c1 <= eps c2,
+past 1/eps in contrast; ``_positivity_lost`` words every refusal.
 """
 
 from math import isqrt
 
 import numpy as np
 
-from .errors import UnsupportedFeatureError
+from .errors import SpectralPositivityError, UnsupportedFeatureError
 from .quadrature import gauss_legendre
 
 _ORDER = 16             # Gauss-Legendre nodes per panel of the moments
@@ -72,7 +74,24 @@ def _moments(mu, h, n):
     return m * (h / np.pi)
 
 
+def _positivity_lost(mu, found):
+    """The SpectralPositivityError for a section of mu that failed its
+    positivity test: c1 = 0, or else rounding at contrast c2/c1, since
+    the windowed section's spectrum lies in [c1, c2]."""
+    if mu.c1 <= 0:
+        return SpectralPositivityError(
+            f"{found}; the symbol must be bounded away from zero")
+    return SpectralPositivityError(
+        f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
+        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (refused from "
+        "1/eps = 4.5e15 on, before any pass; below, a step weight passes "
+        "up to ~1e12 and beyond that depending on the size)")
+
+
 def _toeplitz_column(mu, h, n):
     """First column of the order-n discrete Wiener-Hopf matrix at step
-    h: the real even lags Re mu(2m), m < n, of ``_moments``."""
+    h: the real even lags Re mu(2m), m < n, of ``_moments``.  Refused
+    before any moment if 0 < c1 <= eps c2; c1 = 0 is left to the pass."""
+    if 0.0 < mu.c1 <= np.finfo(float).eps * mu.c2:
+        raise _positivity_lost(mu, "sections of this symbol are not resolved")
     return _moments(mu, h, n)[:2 * n:2].real.copy()

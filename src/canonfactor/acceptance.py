@@ -59,6 +59,8 @@ class AcceptanceContext:
     """Lazy cache for artifacts shared between criteria."""
 
     def __init__(self, seed=0):
+        if not seed >= 0:
+            raise DomainError(f"the seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self._cache = {}
 
@@ -357,7 +359,7 @@ CRITERIA = {i: fn for i, fn in enumerate(
 
 def run_acceptance(indices=None, printer=None, seed=0):
     """Run the numbered criteria (all by default), each once, one result
-    line each; an unknown index raises DomainError before any runs.
+    line each; an unknown index or seed < 0 raises DomainError first.
 
     A criterion that raises is reported as FAIL with the exception; the
     rest of the suite still runs.

@@ -63,6 +63,13 @@ def _nonnegative(text):
     return value
 
 
+def _nonnegative_int(text):
+    """An integer >= 0 (argparse type)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
+
+
 def _build_parser():
     p = _Parser(
         prog="canonfactor",
@@ -70,7 +77,7 @@ def _build_parser():
                     "wave transforms, and triangular factorization.")
     p.add_argument("--config", help="INI file; [common] plus per-command "
                                     "sections; flags override")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="seed for property-test instance generation")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -219,13 +226,13 @@ def _resolve_weight(spec):
         except argparse.ArgumentTypeError:
             raise ConfigError(f"weight parameter {item!r} is not a finite "
                               "number")
-    from .measures import WEIGHT_FAMILIES, weight_by_name
+    from .measures import WEIGHT_FAMILIES
     name = name.strip()
     if name not in WEIGHT_FAMILIES:
         raise ConfigError(f"unknown weight family {name!r}; know "
                           f"{sorted(WEIGHT_FAMILIES)}")
     try:
-        return weight_by_name(name, **kwargs)
+        return WEIGHT_FAMILIES[name](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"unknown weight spec {spec!r}: {exc}")
 
@@ -413,7 +420,7 @@ def _cmd_verify(args, out):
     try:
         results = run_acceptance(indices=indices, printer=out.write,
                                  seed=args.seed)
-    except DomainError as exc:      # an unknown index; none has run
+    except DomainError as exc:      # an unknown index or seed; none has run
         raise ConfigError(exc)
     failed = [r.index for r in results if not r.passed]
     out.write(f"passed {len(results) - len(failed)}/{len(results)}")

@@ -37,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accelerant import _moments
+from .accelerant import _moments, _toeplitz_column
 from .errors import DomainError, SpectralPositivityError, ValidationError
-from .inverse import (_cell_waves, _certified_section, _check_span,
-                      _section_column)
+from .inverse import _cell_waves, _certified_section, _check_span
 from .tables import read_table, write_table
 
 
@@ -59,10 +58,7 @@ class DiscreteWienerHopf:
     ``cond`` is an upper bound.
     """
 
-    n: int
-    h: float
     matrix: np.ndarray
-    symbol_bounds: tuple
     min_eig: float
     max_eig: float
 
@@ -79,10 +75,10 @@ def build_toeplitz(mu, n, h):
         W = c * np.eye(n)
         lo = hi = c
     else:
-        col = _section_column(mu, h, n)
+        col = _toeplitz_column(mu, h, n)
         lo, hi = _certified_section(mu, col)
         W = _dense_toeplitz(col)
-    return DiscreteWienerHopf(n, float(h), W, (mu.c1, mu.c2), lo, hi)
+    return DiscreteWienerHopf(W, lo, hi)
 
 
 def cholesky_oracle(W):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedFeatureError, ValidationError
 from .hamiltonian import Grid
-from .tables import read_table, write_table
+from .tables import read_tiled, write_tiled
 
 
 class HalfLineFunction:
@@ -62,9 +62,6 @@ class HalfLineFunction:
         """t -> f(t/y): stretch the grid, keep values."""
         return HalfLineFunction(self.grid.dilate(y), self.values.copy(),
                                 tail=self.tail)
-
-    def with_values(self, values):
-        return HalfLineFunction(self.grid, values, tail=self.tail)
 
     def integrate(self, a, b, transform=None):
         """Exact integral of (transform of) f over [a, b], tail included."""
@@ -164,7 +161,8 @@ def decompose_L1_L2(f):
     # subtraction makes f1 + f2 == v, with |f2| <= |v|/2
     bad = (f1 + f2) != v
     f2[bad] = v[bad] - f1[bad]
-    return f.with_values(f1), f.with_values(f2)
+    return (HalfLineFunction(f.grid, f1, tail=f.tail),
+            HalfLineFunction(f.grid, f2, tail=f.tail))
 
 
 def norm_L1(f):
@@ -210,20 +208,18 @@ def _primitive(f, t, inverse=False):
     return inside + np.maximum(t - nodes[-1], 0.0) * tail
 
 
-def a2_ell1_terms(f, window=2.0, offset=0.0):
+def a2_ell1_terms(f, window=2.0):
     """Window defects avg-product terms of the ell1 characteristic.
 
-    Windows are [n + offset, n + offset + window] for n = 0, 1, ...; the
-    series stops once a window lies entirely in the constant tail (its
-    term vanishes by the Hoelder equality case).  Every window integral
-    is a difference of the antiderivatives of f and 1/f.
+    Windows are [n, n + window] for n = 0, 1, ...; the series stops once
+    a window lies entirely in the constant tail (its term vanishes by the
+    Hoelder equality case).  Every window integral is a difference of
+    the antiderivatives of f and 1/f.
     """
     _require_positive(f)
-    if not (0 < window < np.inf and np.isfinite(offset)):
-        raise DomainError(f"need 0 < window < inf and a finite offset, "
-                          f"got window = {window}, offset = {offset}")
-    n_stop = int(np.ceil(max(f.grid.span - offset, 0.0))) + 1
-    a = np.arange(n_stop) + offset
+    if not 0 < window < np.inf:
+        raise DomainError(f"need 0 < window < inf, got {window}")
+    a = np.arange(int(np.ceil(f.grid.span)) + 1, dtype=float)
     b = a + window
     i1 = (_primitive(f, b) - _primitive(f, a)).astype(float)
     i2 = (_primitive(f, b, inverse=True)
@@ -231,18 +227,21 @@ def a2_ell1_terms(f, window=2.0, offset=0.0):
     return i1 * i2 - window * window
 
 
-def a2_ell1(f, window=2.0, offset=0.0):
+def a2_ell1(f, window=2.0):
     """Sum of window defects; 0 iff f is (a.e.) constant."""
-    terms = a2_ell1_terms(f, window=window, offset=offset)
+    terms = a2_ell1_terms(f, window=window)
     if np.all(f.values == f.values[0]) and (f.tail == f.values[0]):
         return 0.0                          # Hoelder equality case, exact
     return float(np.sum(np.maximum(terms, 0.0)))
 
 
-def _candidate_nodes(f, interval_budget):
+_DYADIC_LEVELS = 3      # dyadic refinements of the grid in a2_classical
+
+
+def _candidate_nodes(f):
     nodes = f.grid.nodes
     cands = [nodes]
-    for level in range(1, int(interval_budget) + 1):
+    for level in range(1, _DYADIC_LEVELS + 1):
         k = 2 ** level
         step = np.diff(nodes) / k
         cands.append((nodes[:-1, None]
@@ -282,12 +281,12 @@ def _sup_pair_product(t, F, G):
     return best
 
 
-def a2_classical(f, interval_budget=3):
+def a2_classical(f):
     """sup over intervals of avg(f) * avg(1/f), >= 1 with equality iff
     constant.
 
     The supremum is taken over intervals with endpoints on the grid, on
-    dyadic refinements of it up to interval_budget levels, and on a
+    dyadic refinements of it up to _DYADIC_LEVELS levels, and on a
     geometric family reaching into the tail.  The averages come from the
     antiderivatives of f and 1/f at the candidate endpoints, and the
     pairs are scanned in row blocks, so memory stays linear in the
@@ -297,7 +296,7 @@ def a2_classical(f, interval_budget=3):
         _require_positive(f, need_tail=False)
         return 1.0                          # Hoelder equality case, exact
     _require_positive(f)
-    pts = _candidate_nodes(f, interval_budget)
+    pts = _candidate_nodes(f)
     return _sup_pair_product(pts, _primitive(f, pts).astype(float),
                              _primitive(f, pts, inverse=True).astype(float))
 
@@ -375,14 +374,9 @@ _HALFLINE_HEADER = "#halfline v1"
 
 
 def write_halfline(f, path):
-    nodes = f.grid.nodes
-    write_table(path, _HALFLINE_HEADER,
-                np.column_stack([nodes[:-1], nodes[1:], f.values]))
+    write_tiled(path, _HALFLINE_HEADER, f.grid.nodes, f.values)
 
 
 def read_halfline(path, tail=None):
-    _, rows = read_table(path, _HALFLINE_HEADER, 0, 3)
-    if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
-        raise ValidationError(f"{path}: rows do not tile the half line")
-    nodes = np.append(rows[:, 0], rows[-1, 1])
-    return HalfLineFunction(Grid(nodes), rows[:, 2], tail=tail)
+    nodes, values = read_tiled(path, _HALFLINE_HEADER, 1)
+    return HalfLineFunction(Grid(nodes), values[:, 0], tail=tail)

@@ -14,7 +14,7 @@ derived consistently with this choice.
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .tables import read_table, write_table
+from .tables import read_tiled, write_tiled
 
 # Fixed sign convention; J^2 = -I, J^{-1} = -J = J^T.
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -127,18 +127,15 @@ class Hamiltonian:
 
     @classmethod
     def identity(cls, span, n_cells=1):
-        g = Grid(np.linspace(0.0, span, n_cells + 1))
-        return cls(g, np.tile(np.eye(2), (n_cells, 1, 1)))
+        return cls.constant(np.eye(2), span, n_cells)
 
     @classmethod
     def constant(cls, matrix, span, n_cells=1):
-        m = np.asarray(matrix, dtype=float)
-        g = Grid(np.linspace(0.0, span, n_cells + 1))
-        return cls(g, np.tile(m, (n_cells, 1, 1)))
+        nodes = np.linspace(0.0, span, n_cells + 1)
+        return cls(Grid(nodes), np.tile(matrix, (n_cells, 1, 1)))
 
     @classmethod
     def from_entries(cls, nodes, h1, h, h2):
-        h1 = np.asarray(h1, float); h = np.asarray(h, float); h2 = np.asarray(h2, float)
         cells = np.stack(
             [np.stack([h1, h], axis=-1), np.stack([h, h2], axis=-1)], axis=-2)
         return cls(Grid(nodes), cells)
@@ -179,10 +176,6 @@ class Hamiltonian:
         eigenvalues are preserved exactly.
         """
         return Hamiltonian(self.grid.dilate(y), self.cells)
-
-    def sqrt_cells(self):
-        """Per-cell symmetric PSD square roots, shape (K, 2, 2)."""
-        return sqrt_psd_cells(self.cells)
 
     def __eq__(self, other):
         return (isinstance(other, Hamiltonian)
@@ -248,25 +241,16 @@ def _check_cells(c):
     return float(np.max(np.abs(dets - 1.0)))
 
 
-# -- file format ------------------------------------------------------------
-#
-#   #canon-hamiltonian v1
-#   t_start t_end h1 h h2        (one row per cell, full decimal precision)
+# -- file format: '#canon-hamiltonian v1', rows 't_start t_end h1 h h2' -----
 
 _HAM_HEADER = "#canon-hamiltonian v1"
 
 
 def write_hamiltonian(ham, path):
-    n = ham.grid.nodes
-    c = ham.cells
-    write_table(path, _HAM_HEADER, np.column_stack(
-        [n[:-1], n[1:], c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]]))
+    write_tiled(path, _HAM_HEADER, ham.grid.nodes,
+                ham.cells[:, [0, 0, 1], [0, 1, 1]])
 
 
 def read_hamiltonian(path):
-    _, rows = read_table(path, _HAM_HEADER, 0, 5)
-    if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
-        raise ValidationError(f"{path}: cell intervals do not tile the grid")
-    nodes = np.append(rows[:, 0], rows[-1, 1])
-    h1, h, h2 = rows[:, 2:].T
-    return Hamiltonian.from_entries(nodes, h1, h, h2)
+    nodes, entries = read_tiled(path, _HAM_HEADER, 3)
+    return Hamiltonian.from_entries(nodes, *entries.T)

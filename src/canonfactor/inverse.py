@@ -32,14 +32,16 @@ FFT matvec, and shift-and-invert Lanczos on it picks the next shift, so
 lambda_max(W), each within _EIG_RTOL relative, and cond is an upper
 bound.  On the sinc bump at N = 2048 the report makes 3 certificate
 passes and 2 Lanczos runs (the first and one shift-and-invert run).
+Contrast past 1/eps is refused by the column itself, and a section that
+fails its pass or certificate by ``accelerant._positivity_lost``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accelerant import _toeplitz_column
-from .errors import SpectralPositivityError, ValidationError
+from .accelerant import _positivity_lost, _toeplitz_column
+from .errors import ValidationError
 from .hamiltonian import Grid, Hamiltonian
 
 _EIG_RTOL = 1e-10       # relative width of the certified eigenvalue brackets
@@ -280,28 +282,6 @@ def _check_span(length, n, name):
     return int(n)
 
 
-def _positivity_lost(mu, found):
-    """The SpectralPositivityError for a section of mu that failed its
-    positivity test: c1 = 0, or else rounding at contrast c2/c1, since
-    the windowed section's spectrum lies in [c1, c2]."""
-    if mu.c1 <= 0:
-        return SpectralPositivityError(
-            f"{found}; the symbol must be bounded away from zero")
-    return SpectralPositivityError(
-        f"{found} in double precision, although c1 = {mu.c1:.3g} > 0: "
-        f"rounding at contrast c2/c1 = {mu.c2 / mu.c1:.3g} (refused from "
-        "1/eps = 4.5e15 on, before any pass; below, a step weight passes "
-        "up to ~1e12 and beyond that depending on the size)")
-
-
-def _section_column(mu, h, n):
-    """``_toeplitz_column``, refused before any pass if 0 < c1 <= eps c2
-    (condition up to c2/c1 >= 1/eps); c1 = 0 is left to the pass."""
-    if 0.0 < mu.c1 <= np.finfo(float).eps * mu.c2:
-        raise _positivity_lost(mu, "sections of this symbol are not resolved")
-    return _toeplitz_column(mu, h, n)
-
-
 def _cell_waves(mu, R, N):
     """Wave values p at x = 0 on the N cells of [0, R], with the Toeplitz
     column of their Levinson pass and its health figures (pe_floor,
@@ -317,7 +297,7 @@ def _cell_waves(mu, R, N):
     the (1, 1) entry of the diagonal sqrt(H) on each cell, and 1/p its
     (2, 2) entry: det H = 1 is the normalization gauge.
     """
-    col = _section_column(mu, float(R) / N, 2 * N)
+    col = _toeplitz_column(mu, float(R) / N, 2 * N)
     if (out := _levinson(col)) is None:
         raise _positivity_lost(
             mu, "discretized Wiener-Hopf matrix is not positive definite")

@@ -189,16 +189,7 @@ WEIGHT_FAMILIES = {
 }
 
 
-def weight_by_name(name, **kwargs):
-    try:
-        fam = WEIGHT_FAMILIES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown weight family {name!r}; know {sorted(WEIGHT_FAMILIES)}")
-    return fam(**kwargs)
-
-
-# -- file format: '#weight v1', rows 'x w(x)' --------------------------------
+# -- file format: '#weight v1', rows 'x w(x)', read with tail 1 ---------------
 
 _WEIGHT_HEADER = "#weight v1"
 
@@ -212,7 +203,7 @@ def write_weight(measure, path, x):
     write_table(path, _WEIGHT_HEADER, np.column_stack([x, measure(x)]))
 
 
-def read_weight(path, tail=1.0):
+def read_weight(path):
     _, rows = read_table(path, _WEIGHT_HEADER, 0, 2)
     xs, ws = rows.T
-    return sampled_weight(xs, ws, tail=tail)
+    return sampled_weight(xs, ws, tail=1.0)

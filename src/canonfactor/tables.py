@@ -3,7 +3,9 @@
 A table is a header line, a magic string such as ``#weight v1`` followed
 by a fixed number of integer fields, then one row of whitespace-separated
 floats per line; blank lines are skipped.  Floats are written with
-``repr``, so a table reads back bit for bit.
+``repr``, so a table reads back bit for bit.  A tiled table (the
+Hamiltonian and half-line formats) holds one row ``t_start t_end v...``
+per grid cell, each row starting where the one before it ends.
 """
 
 import numpy as np
@@ -60,3 +62,17 @@ def read_table(path, magic, n_header_fields, ncols):
     if not np.all(np.isfinite(rows)):
         raise ValidationError(f"{path}: a non-finite field")
     return sizes, rows
+
+
+def write_tiled(path, header, nodes, values):
+    """Write the tiled rows of the grid nodes and the per-cell values."""
+    write_table(path, header, np.column_stack([nodes[:-1], nodes[1:], values]))
+
+
+def read_tiled(path, magic, ncols):
+    """(grid nodes, (cells, ncols) values) of a tiled table; rows that do
+    not tile a grid raise ValidationError."""
+    _, rows = read_table(path, magic, 0, ncols + 2)
+    if not np.array_equal(rows[1:, 0], rows[:-1, 1]):
+        raise ValidationError(f"{path}: rows do not tile a grid")
+    return np.append(rows[:, 0], rows[-1, 1]), rows[:, 2:]

@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import Hamiltonian, J
+from .hamiltonian import Hamiltonian, J, sqrt_psd_cells
 from .quadrature import gauss_legendre
 from .solver import _sweep, sinch, transfer_matrix
 
@@ -60,7 +60,7 @@ def _amplitude_rows(ham, z, k_use):
     Complex z yields the sweep's integer exponents apart, for the
     consumer's exponential.
     """
-    S = ham.sqrt_cells()
+    S = sqrt_psd_cells(ham.cells)
     # q_c = (1, -i) sqrt(H_c): row0 - i*row1
     real = not np.iscomplexobj(z)
     for c, theta, scale in _sweep(ham, z, 1, ham.grid.nodes[k_use - 1]):
@@ -260,25 +260,16 @@ def _si_complement(x):
 def _plancherel_tail(f, X, w_tail):
     """Exact int_{|x|>X} |F f|^2 w dx for identity waves (P_t = e^{ixt}).
 
-    F f = (1/sqrt(2pi)) sum f_j (e^{ixb_j} - e^{ixa_j})/(ix); expanding
-    the square gives integrals int_{|x|>X} e^{ix tau}/x^2 dx with the
-    closed form 2 [cos(tau X)/X - |tau| (pi/2 - Si(|tau| X))].
+    F f = -(1/sqrt(2pi)) sum_k d_k e^{ixt_k}/(ix) over the nodes t_k of
+    f, d_k the jump of f at t_k (f = 0 off its grid); expanding the
+    square gives integrals int_{|x|>X} e^{ix tau}/x^2 dx with the closed
+    form 2 [cos(tau X)/X - |tau| (pi/2 - Si(|tau| X))].
     """
-    a = f.grid.nodes[:-1]
-    b = f.grid.nodes[1:]
-    fv = f.values
-
-    def T(tau):
-        tau = np.abs(tau)
-        return 2.0 * (np.cos(tau * X) / X - tau * _si_complement(tau * X))
-
-    taus_pp = b[:, None] - b[None, :]
-    taus_mm = a[:, None] - a[None, :]
-    taus_pm = b[:, None] - a[None, :]
-    taus_mp = a[:, None] - b[None, :]
-    ff = fv[:, None] * fv[None, :]
-    total = np.sum(ff * (T(taus_pp) + T(taus_mm) - T(taus_pm) - T(taus_mp)))
-    return w_tail * total / (2.0 * np.pi)
+    t = f.grid.nodes
+    d = np.diff(f.values, prepend=0.0, append=0.0)
+    tau = np.abs(t[:, None] - t[None, :])
+    T = 2.0 * (np.cos(tau * X) / X - tau * _si_complement(tau * X))
+    return w_tail * float(d @ T @ d) / (2.0 * np.pi)
 
 
 def isometry_residual(ham, mu, f, X=1e3):

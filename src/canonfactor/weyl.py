@@ -112,7 +112,9 @@ def spectral_density(ham, x, eps=None, ratio=None, eps_min=None):
     w(x) = sqrt(det C) / (Theta(R, x)^T C Theta(R, x)), the exact
     density of H continued past R by its last cell C; DomainError for a
     singular C.  eps, ratio and eps_min are accepted and ignored: they
-    set the eps ladder of earlier versions.
+    set the eps ladder of earlier versions, and stay only because the
+    benchmark's set-up and workloads (bench/) still pass them, until
+    the benchmark refresh of ROADMAP item 1 removes them.
     """
     return boundary_values(ham, x).imag
 

@@ -29,3 +29,12 @@ def test_full_run_reports_all(capsys):
     assert "[PASS]  9" in lines
     assert all(r.passed for r in results)
     assert [r.index for r in results] == [1, 9]
+
+
+def test_negative_seed_is_refused_before_any_criterion():
+    from canonfactor import DomainError
+    from canonfactor.acceptance import run_acceptance
+    printed = []
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        run_acceptance(indices=[2], printer=printed.append, seed=-1)
+    assert printed == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from canonfactor import (HalfLineFunction, build_toeplitz, cli,
+from canonfactor import (DomainError, HalfLineFunction, build_toeplitz, cli,
                          inverse_spectral, read_halfline, read_hamiltonian,
                          read_matrix, sinc_bump_weight, step_weight,
                          write_halfline, write_hamiltonian)
@@ -194,6 +194,16 @@ def test_exit_code_2_unknown_weight_family():
     assert "'nope'" in lines[0] and "'sinc-bump'" in lines[0]
 
 
+def test_weight_spec_dispatch():
+    # the spec names a family of WEIGHT_FAMILIES and its keyword values
+    mu = cli._resolve_weight("step:inner=3,half_width=0.5")
+    assert mu(0.0) == 3.0 and mu(0.7) == 1.0
+    with pytest.raises(cli.ConfigError, match="unknown weight family"):
+        cli._resolve_weight("nope")
+    with pytest.raises(DomainError):
+        cli._resolve_weight("constant:c=-1")
+
+
 def test_exit_code_2_missing_file():
     proc = run_cli("weyl", "--hamiltonian", "/nonexistent/h.txt", "--z", "1j")
     assert proc.returncode == 2
@@ -325,6 +335,24 @@ def test_tol_weyl_is_nonnegative():
     args = cli._build_parser().parse_args(
         ["weyl", "--hamiltonian", "h.txt", "--z", "1j", "--tol-weyl", "0"])
     assert args.tol_weyl == 0.0
+
+
+def test_seed_is_a_nonnegative_integer():
+    # a negative or non-integer seed is a bad flag value: exit 2 with one
+    # kind=config line before numpy, not a FAIL line from the criteria
+    code = ("import contextlib, io, sys\n"
+            "from canonfactor.cli import main\n"
+            "for seed in ('-1', '1.5', 'x'):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "        code = main(['--seed', seed, 'verify', '--only', '2'])\n"
+            "    lines = err.getvalue().splitlines()\n"
+            "    print(code, len(lines), 'kind=config' in lines[0])\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:4] == ["2 1 True"] * 3 + ["False"]
+    assert cli._build_parser().parse_args(["--seed", "0", "verify"]).seed == 0
 
 
 def test_config_entries_parse_as_flags(tmp_path, capsys):

@@ -58,3 +58,14 @@ def test_non_utf8_file_is_a_validation_error(tmp_path, read):
     path.write_bytes(b"#matrix v1 1 1\n" + bytes(range(128, 256)))
     with pytest.raises(ValidationError, match="UTF-8"):
         read(path)
+
+
+@pytest.mark.parametrize("read, body", [
+    (read_hamiltonian, "#canon-hamiltonian v1\n0 1 1 0 1\n1.5 2 1 0 1\n"),
+    (read_halfline, "#halfline v1\n0 1 2\n1.5 2 3\n")])
+def test_rows_that_do_not_tile_a_grid_are_refused(tmp_path, read, body):
+    # one tiled-row reader serves both formats, with one diagnosis
+    path = tmp_path / "t.txt"
+    path.write_text(body)
+    with pytest.raises(ValidationError, match="rows do not tile a grid"):
+        read(path)

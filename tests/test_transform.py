@@ -16,6 +16,7 @@ from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          sampled_weight, sinc_bump_weight, step_weight,
                          transfer_matrix, wave_amplitudes)
 from canonfactor import solver, transform
+from canonfactor.hamiltonian import sqrt_psd_cells
 from canonfactor.quadrature import gauss_legendre
 
 
@@ -23,7 +24,7 @@ def test_sqrt_psd_hand_values():
     # the per-cell root behind the waves: I, [[2,1],[1,1]] and 0
     ham = Hamiltonian.from_entries([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0],
                                    [0.0, 1.0, 0.0], [1.0, 1.0, 0.0])
-    roots = ham.sqrt_cells()
+    roots = sqrt_psd_cells(ham.cells)
     assert np.allclose(roots[0], np.eye(2))
     assert np.allclose(roots[1],
                        np.array([[3.0, 1.0], [1.0, 2.0]]) / np.sqrt(5.0))

@@ -13,7 +13,7 @@ from canonfactor import (DomainError, HalfLineFunction, Hamiltonian,
                          factor_via_transform, inverse_spectral,
                          isometry_residual, read_weight, sampled_weight,
                          sinc_bump_weight, step_weight, szego_K,
-                         truncate_weight, weight_by_name, write_weight)
+                         truncate_weight, write_weight)
 from canonfactor import accelerant
 
 
@@ -121,15 +121,6 @@ def test_the_symbol_contract(case):
         return
     with pytest.raises(error, match=match):
         call()
-
-
-def test_weight_by_name_dispatch():
-    mu = weight_by_name("step", inner=3.0, half_width=0.5)
-    assert mu(0.0) == 3.0 and mu(0.7) == 1.0
-    with pytest.raises(DomainError):
-        weight_by_name("nope")
-    with pytest.raises(DomainError):
-        weight_by_name("constant", c=-1.0)
 
 
 def test_weight_evaluation_vectorized():
@@ -256,7 +247,6 @@ _NONFINITE_CALLS = {
     "szego_K": lambda: szego_K(step_weight(2.0, 1.0), complex(np.nan, 1.0)),
     "a2_ell1 window nan": lambda: a2_ell1(_STEPS, window=np.nan),
     "a2_ell1 window inf": lambda: a2_ell1(_STEPS, window=np.inf),
-    "a2_ell1 offset nan": lambda: a2_ell1(_STEPS, offset=np.nan),
     "isometry_residual X": lambda: isometry_residual(
         Hamiltonian.identity(2.0), constant_weight(1.0),
         HalfLineFunction.from_uniform([1.0, -1.0], span=2.0), X=np.nan),
